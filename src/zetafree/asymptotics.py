@@ -69,12 +69,15 @@ def _check_objective_input(p: CosinePolynomial) -> None:
         )
 
 
-def compute_M(p: CosinePolynomial, check_nonneg: bool = True) -> float:
+def compute_M(p: CosinePolynomial) -> float:
     """Objective constant M; homogeneous of degree 0 in the coefficients."""
-    if check_nonneg:
-        _check_objective_input(p)
+    _check_objective_input(p)
     b = p.coeffs
-    theta = solve_theta(b[0], b[1])
+    return M_from_theta(b, solve_theta(b[0], b[1]))
+
+
+def M_from_theta(b: Sequence[float], theta: float) -> float:
+    """M for coefficients b_0..b_d whose shape angle theta is already solved."""
     s_all = sum(b)
     s_tail = sum(b[1:])
     denom = (0.75 * s_tail * math.sqrt(s_all)) ** (2.0 / 3.0)

@@ -3,9 +3,7 @@
 Each start runs Nelder-Mead (reflection 1, expansion 2, contraction 0.5,
 shrink 0.5) over the root offsets in log coordinates.  Candidates whose
 expansion fails the feasibility checks (b0, b1 positive, b1/b0 inside the
-shape-equation window) score minus infinity.  The known degree-5 optimum
-is injected as one deterministic start so reproducing it never depends
-on search luck; independent starts still validate it.
+shape-equation window) score minus infinity.
 """
 
 import math
@@ -13,16 +11,13 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Tuple, Union
 
 import numpy as np
-from scipy.optimize import minimize
-from scipy.stats import qmc
 
-from .asymptotics import compute_M
-from .errors import NoFeasiblePointError, RatioOutOfRangeError
+from .asymptotics import M_from_theta
+from .errors import NoFeasiblePointError
 from .mollifier import RATIO_WINDOW, solve_theta
 from .trigpoly import Certificate, CosinePolynomial, ProductForm, expand_product, verify_nonneg
 
 ROOT_BOX = (0.01, 3.0)
-KNOWN_D5_ROOTS = (0.8652559, 0.1974476)
 _PENALTY = 1e9
 
 
@@ -65,8 +60,7 @@ def evaluate_candidate(form: ProductForm) -> Union[CandidateEval, Rejection]:
     if not (RATIO_WINDOW[0] < ratio < RATIO_WINDOW[1]):
         return Rejection("ratio_outside_window")
     theta = solve_theta(b[0], b[1])
-    M = compute_M(poly, check_nonneg=False)
-    return CandidateEval(poly=poly, theta=theta, M=M)
+    return CandidateEval(poly=poly, theta=theta, M=M_from_theta(b, theta))
 
 
 def _objective(x: np.ndarray, half: bool) -> float:
@@ -104,20 +98,19 @@ def optimize(
     if starts < 1:
         raise ValueError("starts must be >= 1")
 
+    # scipy is imported here so that importing the package does not pay for it
+    from scipy.optimize import minimize
+    from scipy.stats import qmc
+
     lo, hi = math.log(ROOT_BOX[0]), math.log(ROOT_BOX[1])
     sampler = qmc.Halton(d=m, scramble=True, seed=seed)
     points = lo + (hi - lo) * sampler.random(starts)
-
-    start_list: List[Tuple[str, np.ndarray]] = []
-    if degree == 5 and half_angle_factor:
-        start_list.append(("injected_known_optimum", np.log(np.array(KNOWN_D5_ROOTS))))
-    start_list.extend((f"halton_{i}", points[i]) for i in range(starts))
 
     best: Optional[CandidateEval] = None
     best_roots: Optional[Tuple[float, ...]] = None
     trace: List[Tuple[int, float]] = []
     notes: List[str] = []
-    for idx, (label, x0) in enumerate(start_list):
+    for idx, x0 in enumerate(points):
         if _objective(x0, half_angle_factor) >= _PENALTY:
             continue
         res = minimize(
@@ -136,8 +129,6 @@ def optimize(
         )
         if better:
             best, best_roots = cand, cand_roots
-            if label == "injected_known_optimum":
-                notes.append("best start was the injected known optimum")
         trace.append((idx, best.M))
 
     if best is None:
@@ -158,7 +149,7 @@ def optimize(
         best_poly=poly,
         theta=best.theta,
         M=best.M,
-        starts_used=len(start_list),
+        starts_used=starts,
         trace=tuple(trace),
         notes=tuple(notes),
     )

@@ -5,13 +5,12 @@ manifestly nonnegative product form
 scale * (1 + cos t)^e * prod_i (a_i + cos t)^2 with e in {0, 1}.
 """
 
+import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple, Union
+from typing import Sequence, Tuple, Union
 
 import mpmath as mp
 import numpy as np
-from numpy.polynomial import chebyshev as _cheb
-from numpy.polynomial import polynomial as _poly
 
 from .errors import DegreeOverflowError
 
@@ -28,7 +27,7 @@ class CosinePolynomial:
         c = tuple(float(x) for x in self.coeffs)
         if len(c) < 2:
             raise ValueError("need degree >= 1 (at least two coefficients)")
-        if not all(np.isfinite(c)):
+        if not all(math.isfinite(x) for x in c):
             raise ValueError("coefficients must be finite")
         object.__setattr__(self, "coeffs", c)
 
@@ -57,10 +56,10 @@ class ProductForm:
     roots: Tuple[float, ...]
 
     def __post_init__(self):
-        if not (self.scale > 0 and np.isfinite(self.scale)):
+        if not (self.scale > 0 and math.isfinite(self.scale)):
             raise ValueError("scale must be positive and finite")
         r = tuple(float(a) for a in self.roots)
-        if not all(a > 0 and np.isfinite(a) for a in r):
+        if not all(a > 0 and math.isfinite(a) for a in r):
             raise ValueError("every root offset a_i must be positive and finite")
         object.__setattr__(self, "roots", r)
 
@@ -113,13 +112,23 @@ def eval_poly(p: CosinePolynomial, theta):
 def power_to_cosine(power_coeffs: Sequence[float]) -> Tuple[float, ...]:
     """Convert a polynomial in c = cos(theta) to cosine coefficients.
 
-    Uses the Chebyshev basis change cos(j*theta) = T_j(cos theta), so the
-    conversion is exact up to rounding.
+    Uses the Chebyshev basis change cos(j*theta) = T_j(cos theta): Horner's
+    rule in the Chebyshev basis, where multiplying by c maps T_0 to T_1
+    and T_m to (T_{m-1} + T_{m+1})/2.  Trailing zero coefficients are
+    dropped, keeping at least one.
     """
-    pc = np.asarray(power_coeffs, dtype=float)
-    if pc.size == 0:
+    pc = [float(a) for a in power_coeffs]
+    if not pc:
         raise ValueError("empty coefficient list")
-    return tuple(_cheb.poly2cheb(pc))
+    b = [pc[-1]]
+    for a in reversed(pc[:-1]):
+        half = [x * 0.5 for x in b] + [0.0, 0.0]
+        prod = [half[1] + a, b[0] + half[2]]
+        prod += [half[m - 1] + half[m + 1] for m in range(2, len(b) + 1)]
+        b = prod
+    while len(b) > 1 and b[-1] == 0.0:
+        b.pop()
+    return tuple(b)
 
 
 def expand_product(form: ProductForm, max_degree: int = MAX_DEGREE) -> CosinePolynomial:
@@ -132,11 +141,14 @@ def expand_product(form: ProductForm, max_degree: int = MAX_DEGREE) -> CosinePol
         raise DegreeOverflowError(
             f"degree {form.degree} exceeds the configured maximum {max_degree}"
         )
-    pc = np.array([form.scale])
+    pc = [float(form.scale)]
     if form.half_angle_factor:
-        pc = _poly.polymul(pc, [1.0, 1.0])
+        pc = [x + y for x, y in zip(pc + [0.0], [0.0] + pc)]
     for a in form.roots:
-        pc = _poly.polymul(pc, _poly.polymul([a, 1.0], [a, 1.0]))
+        # multiply by (a + c)^2 = a^2 + 2a*c + c^2
+        a2, two_a = a * a, 2.0 * a
+        pc = [0.0, 0.0] + pc + [0.0, 0.0]
+        pc = [a2 * pc[k + 2] + two_a * pc[k + 1] + pc[k] for k in range(len(pc) - 2)]
     b = power_to_cosine(pc)
     if len(b) < 2:  # constant form is not a valid CosinePolynomial
         b = b + (0.0,)

@@ -18,10 +18,11 @@ are rigorous; identities that hold for every Re > 1 are checked there.
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Dict, Tuple
 
+import mpmath as mp
 import numpy as np
-from scipy.special import bernoulli
 
 from .errors import CapacityError, DomainError, PoleError
 from .quadrature import adaptive_quad
@@ -173,7 +174,8 @@ def neg_zeta_logderiv(s: complex, tol: float, max_n: int = DEFAULT_MAX_N) -> Ser
 # ---------------------------------------------------------------------------
 
 _EM_ORDER = 14
-_BERN = bernoulli(2 * _EM_ORDER)
+# B_0..B_{2*_EM_ORDER}, each the float nearest the exact rational
+_BERN = tuple(float(Fraction(*mp.bernfrac(n))) for n in range(2 * _EM_ORDER + 1))
 _EM_IM_MAX = 1e4
 
 

@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -21,6 +23,12 @@ def test_dumps_canonical_sorted_and_float_format():
 def test_dumps_canonical_nested_and_bool():
     text = dumps_canonical({"x": [True, 1.5, {"y": None}]})
     assert json.loads(text) == {"x": [True, 1.5, {"y": None}]}
+
+
+def test_cli_import_does_not_load_scipy():
+    code = "import sys, zetafree.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------

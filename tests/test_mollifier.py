@@ -1,5 +1,10 @@
+import math
+
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from zetafree.errors import RatioOutOfRangeError
@@ -60,6 +65,70 @@ def test_solve_theta_random_vs_oracle():
         th = solve_theta(b0, b1)
         assert abs(_residual(th, b1 / b0)) <= 1e-12
         assert th == pytest.approx(_oracle_theta(b0, b1), abs=1e-10)
+
+
+def _h_mp(theta):
+    """h(theta) = sin^2(theta) / (1 - theta*cot(theta)) at the working precision."""
+    theta = mp.mpf(theta)
+    return mp.sin(theta) ** 2 / (1 - theta * mp.cot(theta))
+
+
+def _bisect_theta_mp(r):
+    """50-digit bisection for h(theta) = r at the exact float ratio r."""
+    with mp.workdps(50):
+        r = mp.mpf(r)
+        lo, hi = mp.mpf(0), mp.pi / 2
+        while hi - lo > mp.mpf(10) ** -45 * hi:
+            mid = (lo + hi) / 2
+            if _h_mp(mid) > r:  # h decreases, so the root lies above mid
+                lo = mid
+            else:
+                hi = mid
+        return (lo + hi) / 2
+
+
+def _assert_matches_oracle(r):
+    th = solve_theta(1.0, r)
+    exact = _bisect_theta_mp(r)
+    assert float(abs(th - exact) / exact) <= 1e-12, (r, th)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(1.0, 3.0, exclude_min=True, exclude_max=True))
+def test_solve_theta_relative_accuracy(r):
+    _assert_matches_oracle(r)
+
+
+@pytest.mark.parametrize(
+    "r",
+    [1.0 + 2.0**-k for k in range(1, 53)]
+    + [3.0 - 2.0**-k for k in range(1, 52)]
+    + [1.0 + 1e-15, 3.0 - 1e-6, 3.0 - 1e-9, 3.0 - 1e-12],
+)
+def test_solve_theta_accuracy_at_window_ends(r):
+    _assert_matches_oracle(r)
+
+
+@settings(deadline=None)
+@given(
+    st.floats(1e-6, math.pi / 2, exclude_max=True),
+    st.floats(1e-6, math.pi / 2, exclude_max=True),
+)
+def test_shape_ratio_strictly_decreasing(t1, t2):
+    assume(t1 != t2)
+    lo, hi = min(t1, t2), max(t1, t2)
+    with mp.workdps(60):
+        assert _h_mp(lo) > _h_mp(hi)
+
+
+@given(
+    st.floats(1.0, 3.0, exclude_min=True, exclude_max=True),
+    st.floats(1.0, 3.0, exclude_min=True, exclude_max=True),
+)
+def test_solve_theta_monotone_in_ratio(r1, r2):
+    # up to rounding: adjacent ratios can give roots out of order by ~5e-15 relative
+    lo, hi = min(r1, r2), max(r1, r2)
+    assert solve_theta(1.0, lo) >= solve_theta(1.0, hi) * (1.0 - 1e-13)
 
 
 def test_g_at_zero():

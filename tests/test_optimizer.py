@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import zetafree.optimizer
 from zetafree.asymptotics import compute_M
 from zetafree.optimizer import (
     CandidateEval,
@@ -28,6 +29,22 @@ def test_evaluate_candidate_d5_optimum():
     res = evaluate_candidate(ProductForm(1.0, True, (0.8652559, 0.1974476)))
     assert isinstance(res, CandidateEval)
     assert res.M == pytest.approx(0.055127, abs=1e-5)
+
+
+def test_evaluate_candidate_solves_theta_once(monkeypatch):
+    calls = []
+    solve = zetafree.optimizer.solve_theta
+
+    def counted(b0, b1):
+        calls.append((b0, b1))
+        return solve(b0, b1)
+
+    monkeypatch.setattr(zetafree.optimizer, "solve_theta", counted)
+    res = evaluate_candidate(ProductForm(1.0, True, (0.8652559, 0.1974476)))
+    assert isinstance(res, CandidateEval)
+    assert len(calls) == 1
+    monkeypatch.undo()
+    assert res.M == pytest.approx(compute_M(res.poly), rel=1e-15)
 
 
 def test_parity_validation():

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from numpy.polynomial.chebyshev import poly2cheb
 
 from zetafree.errors import DegreeOverflowError
 from zetafree.trigpoly import (
@@ -111,6 +114,11 @@ def test_power_to_cosine_linearity():
         lhs = np.array(power_to_cosine(p + q))
         rhs = np.array(power_to_cosine(p)) + np.array(power_to_cosine(q))
         assert np.max(np.abs(lhs - rhs)) <= 1e-13
+
+
+@given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=33))
+def test_power_to_cosine_equals_numpy_reference(power_coeffs):
+    assert power_to_cosine(power_coeffs) == tuple(poly2cheb(power_coeffs))
 
 
 def test_verify_nonneg_classical():

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -7,6 +8,8 @@ import pytest
 from zetafree.errors import CapacityError, DomainError, PoleError
 from zetafree.trigpoly import CosinePolynomial
 from zetafree.zetanum import (
+    _BERN,
+    _EM_ORDER,
     applied_trig_sum,
     lemma_check,
     lemma_lhs,
@@ -102,6 +105,19 @@ def test_tail_bound_is_genuine():
 # ---------------------------------------------------------------------------
 # Euler-Maclaurin zeta
 # ---------------------------------------------------------------------------
+
+def _bernoulli_exact(n):
+    # B_n from sum_{k<=n} C(n+1, k) B_k = 0 for n >= 1, with B_0 = 1
+    b = [Fraction(1)]
+    for m in range(1, n + 1):
+        b.append(-sum(math.comb(m + 1, k) * b[k] for k in range(m)) / (m + 1))
+    return b[n]
+
+
+def test_bernoulli_numbers_correctly_rounded():
+    for j in range(1, _EM_ORDER + 1):
+        assert _BERN[2 * j] == float(_bernoulli_exact(2 * j)), 2 * j
+
 
 def test_zeta_two():
     assert zeta_em(2.0 + 0j).real == pytest.approx(math.pi**2 / 6.0, rel=1e-12)
