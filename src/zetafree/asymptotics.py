@@ -58,7 +58,8 @@ class RegionRow:
     flags: Tuple[str, ...] = field(default_factory=tuple)
 
 
-def _check_objective_input(p: CosinePolynomial) -> None:
+def check_objective_input(p: CosinePolynomial) -> None:
+    """Raise unless b0, b1 > 0 and p passes the nonnegativity check."""
     b = p.coeffs
     if b[0] <= 0 or b[1] <= 0:
         raise ValueError("b0 and b1 must be positive")
@@ -71,7 +72,7 @@ def _check_objective_input(p: CosinePolynomial) -> None:
 
 def compute_M(p: CosinePolynomial) -> float:
     """Objective constant M; homogeneous of degree 0 in the coefficients."""
-    _check_objective_input(p)
+    check_objective_input(p)
     b = p.coeffs
     return M_from_theta(b, solve_theta(b[0], b[1]))
 

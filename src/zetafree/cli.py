@@ -1,10 +1,12 @@
 """Command-line entry point.
 
 Subcommands: optimize, eval-poly, verify-lemma, verify-trig, region,
-mollifier-table.  An optional flat JSON config file supplies defaults;
-explicit flags win.  JSON output is canonical (sorted keys, floats at 17
-significant digits) so identical runs are byte-identical.  Exit codes:
-0 success, 1 validation error, 2 verification failure.
+mollifier-table.  An optional flat JSON config file supplies defaults:
+its values are parsed as flags placed before the explicit ones, so they
+get the same checks and explicit flags win.  JSON output is canonical
+(sorted keys, floats at 17 significant digits) so identical runs are
+byte-identical.  Exit codes: 0 success, 1 validation error, 2
+verification failure.
 """
 
 import argparse
@@ -19,7 +21,14 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from . import __version__
-from .asymptotics import DEFAULT_A, DEFAULT_B, compute_C, compute_M, region_table
+from .asymptotics import (
+    DEFAULT_A,
+    DEFAULT_B,
+    M_from_theta,
+    check_objective_input,
+    compute_C,
+    region_table,
+)
 from .errors import ZetafreeError
 from .mollifier import MollifierShape, g_eval, solve_theta, w_eval
 from .optimizer import optimize
@@ -145,11 +154,20 @@ def build_parser() -> _Parser:
 
 
 def parse_config(argv: Sequence[str]) -> RunConfig:
-    """Parse flags, then fill unset values from the optional config file."""
+    """Parse the flags, with the optional config file's values as defaults.
+
+    The file's values become flags inserted right after the subcommand.
+    argparse keeps the last value of a repeated option, so any explicit
+    flag, abbreviated or not, beats the file.
+    """
+    argv = list(argv)
     parser = build_parser()
-    args = parser.parse_args(list(argv))
+    args = parser.parse_args(argv)
     if args.command is None:
         raise UsageError("a subcommand is required")
+    if args.config:
+        i = _command_index(argv) + 1
+        args = parser.parse_args(argv[:i] + _config_flags(args) + argv[i:])
     if args.command == "optimize":
         e = 1 if args.half_angle_factor else 0
         if (args.degree - e) % 2 != 0:
@@ -159,31 +177,6 @@ def parse_config(argv: Sequence[str]) -> RunConfig:
 
     params = {k.replace("_", "-"): v for k, v in vars(args).items()
               if k not in ("command", "config", "seed", "format", "output")}
-
-    if args.config:
-        try:
-            with open(args.config) as fh:
-                file_values = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise UsageError(f"config file: {exc}")
-        if not isinstance(file_values, dict):
-            raise UsageError("config file must hold a flat JSON object")
-        explicit = _explicit_flags(argv)
-        known = set(params) | {"seed", "format", "output"}
-        for key, value in file_values.items():
-            if key not in known:
-                raise UsageError(f"unknown config key: {key!r}")
-            if key in explicit:
-                continue  # flag wins
-            if key == "seed":
-                args.seed = int(value)
-            elif key == "format":
-                args.format = str(value)
-            elif key == "output":
-                args.output = value
-            else:
-                params[key] = value
-
     return RunConfig(
         command=args.command,
         params=params,
@@ -193,12 +186,37 @@ def parse_config(argv: Sequence[str]) -> RunConfig:
     )
 
 
-def _explicit_flags(argv: Sequence[str]) -> set:
-    out = set()
-    for token in argv:
-        if token.startswith("--"):
-            out.add(token[2:].split("=", 1)[0])
-    return out
+def _command_index(argv: List[str]) -> int:
+    """Position of the subcommand; only --config and its value precede it."""
+    i = 0
+    while argv[i].startswith("-"):
+        i += 1 if "=" in argv[i] else 2
+    return i
+
+
+def _config_flags(args: argparse.Namespace) -> List[str]:
+    """The config file's values as flags of args.command.
+
+    A key must name one of the subcommand's flags exactly.  true sets a
+    switch; false and null leave the flag unset.
+    """
+    try:
+        with open(args.config) as fh:
+            file_values = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise UsageError(f"config file: {exc}")
+    if not isinstance(file_values, dict):
+        raise UsageError("config file must hold a flat JSON object")
+    known = {k.replace("_", "-") for k in vars(args)} - {"command", "config"}
+    flags = []
+    for key, value in file_values.items():
+        if key not in known:
+            raise UsageError(f"unknown config key: {key!r}")
+        if value is True:
+            flags.append(f"--{key}")
+        elif value is not False and value is not None:
+            flags.append(f"--{key}={value}")
+    return flags
 
 
 # ---------------------------------------------------------------------------
@@ -257,9 +275,10 @@ def _run_eval_poly(config: RunConfig):
     p = CosinePolynomial(tuple(_coeff_list(str(config.params["coeffs"]))))
     B = float(config.params["B"])
     theta = solve_theta(p.coeffs[0], p.coeffs[1])
+    check_objective_input(p)
     result = {
         "theta": theta,
-        "M": compute_M(p),
+        "M": M_from_theta(p.coeffs, theta),
         "C": compute_C(p, B),
         "A": float(config.params["A"]),
         "B": B,
@@ -366,10 +385,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         config = parse_config(argv)
         return run(config)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ZetafreeError, ValueError, ZeroDivisionError) as exc:
+    except (UsageError, ZetafreeError, ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -24,6 +24,8 @@ from .errors import RatioOutOfRangeError
 from .quadrature import adaptive_quad, fixed_gauss
 
 RATIO_WINDOW = (1.0, 3.0)
+# Gauss-Legendre order of the convolution integral in w_eval
+W_GAUSS_ORDER = 60
 
 # The shape equation reads h(theta) = b1/b0 with
 #     h(theta) = sin^2(theta) / (1 - theta*cot(theta)),
@@ -149,7 +151,7 @@ def g_eval(theta: float, u):
     return float(vals) if np.isscalar(u) else vals
 
 
-def w_eval(theta: float, u: float, order: int = 60) -> float:
+def w_eval(theta: float, u: float) -> float:
     """Convolution square (g*g)(u) for u >= 0 by Gauss-Legendre quadrature."""
     if u < 0:
         raise ValueError("u must be >= 0")
@@ -157,7 +159,8 @@ def w_eval(theta: float, u: float, order: int = 60) -> float:
     if u >= 2 * s:
         return 0.0
     lo, hi = max(-s, u - s), min(s, u + s)
-    return float(fixed_gauss(lambda v: g_eval(theta, v) * g_eval(theta, u - v), lo, hi, order))
+    return float(fixed_gauss(lambda v: g_eval(theta, v) * g_eval(theta, u - v),
+                             lo, hi, W_GAUSS_ORDER))
 
 
 def w0_closed(theta: float) -> float:
@@ -195,45 +198,41 @@ def W_eval(theta: float, s, tol: float = 1e-11) -> complex:
 
 @dataclass(frozen=True)
 class MollifierShape:
-    """Shape angle plus the derived quantities the objective consumes.
+    """Shape angle, its coefficients and the optional exponential scaling lam.
 
-    lam (the exponential scaling) may be attached later; the stored
-    closed-form values are lam-free.
+    The supports and closed-form values are computed from theta on each
+    access; f0, f_eval and F_eval need lam.
     """
 
     theta: float
     b0: float
     b1: float
     lam: Optional[float] = None
-    g_support: float = 0.0
-    w_support: float = 0.0
-    w0: float = 0.0
-    F0val: float = 0.0
-    negWp0: float = 0.0
 
     @classmethod
     def from_coeffs(cls, b0: float, b1: float, lam: Optional[float] = None) -> "MollifierShape":
-        theta = solve_theta(b0, b1)
         return cls(
-            theta=theta,
+            theta=solve_theta(b0, b1),
             b0=float(b0),
             b1=float(b1),
             lam=None if lam is None else float(lam),
-            g_support=g_support(theta),
-            w_support=2.0 * g_support(theta),
-            w0=w0_closed(theta),
-            F0val=F0_closed(theta),
-            negWp0=negWprime0_closed(theta),
         )
 
-    def with_lambda(self, lam: float) -> "MollifierShape":
-        if lam <= 0:
-            raise ValueError("lam must be positive")
-        return MollifierShape(
-            theta=self.theta, b0=self.b0, b1=self.b1, lam=float(lam),
-            g_support=self.g_support, w_support=self.w_support,
-            w0=self.w0, F0val=self.F0val, negWp0=self.negWp0,
-        )
+    @property
+    def g_support(self) -> float:
+        return g_support(self.theta)
+
+    @property
+    def w_support(self) -> float:
+        return 2.0 * g_support(self.theta)
+
+    @property
+    def w0(self) -> float:
+        return w0_closed(self.theta)
+
+    @property
+    def negWp0(self) -> float:
+        return negWprime0_closed(self.theta)
 
     @property
     def f0(self) -> float:

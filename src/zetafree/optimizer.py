@@ -7,7 +7,7 @@ shape-equation window) score minus infinity.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Tuple, Union
 
 import numpy as np
@@ -41,7 +41,7 @@ class OptimizationResult:
     M: float
     starts_used: int
     trace: Tuple[Tuple[int, float], ...]
-    notes: Tuple[str, ...] = field(default_factory=tuple)
+    notes: Tuple[str, ...] = ()  # always empty; kept for the output schema
 
 
 def evaluate_candidate(form: ProductForm) -> Union[CandidateEval, Rejection]:
@@ -109,7 +109,6 @@ def optimize(
     best: Optional[CandidateEval] = None
     best_roots: Optional[Tuple[float, ...]] = None
     trace: List[Tuple[int, float]] = []
-    notes: List[str] = []
     for idx, x0 in enumerate(points):
         if _objective(x0, half_angle_factor) >= _PENALTY:
             continue
@@ -134,22 +133,15 @@ def optimize(
     if best is None:
         raise NoFeasiblePointError("all starts were rejected")
 
-    form = ProductForm(1.0, half_angle_factor, best_roots)
-    poly = best.poly
-    clamped = [max(b, 0.0) if -1e-12 <= b < 0.0 else b for b in poly.coeffs]
-    if clamped != list(poly.coeffs):
-        notes.append("clamped coefficients in [-1e-12, 0) to zero")
-        poly = CosinePolynomial(tuple(clamped))
-    cert = verify_nonneg(poly)
+    cert = verify_nonneg(best.poly)
     if not isinstance(cert, Certificate):
         raise NoFeasiblePointError("best candidate failed the nonnegativity check")
 
     return OptimizationResult(
-        best_form=form,
-        best_poly=poly,
+        best_form=ProductForm(1.0, half_angle_factor, best_roots),
+        best_poly=best.poly,
         theta=best.theta,
         M=best.M,
         starts_used=starts,
         trace=tuple(trace),
-        notes=tuple(notes),
     )

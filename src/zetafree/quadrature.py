@@ -13,6 +13,8 @@ import numpy as np
 
 _X7, _W7 = np.polynomial.legendre.leggauss(7)
 _X15, _W15 = np.polynomial.legendre.leggauss(15)
+# adaptive_quad stops splitting at this many panels
+MAX_PANELS = 4000
 
 
 def _panel(f, a, b):
@@ -23,7 +25,7 @@ def _panel(f, a, b):
     return v15, abs(v15 - v7)
 
 
-def adaptive_quad(f, a, b, tol=1e-11, max_panels=4000):
+def adaptive_quad(f, a, b, tol=1e-11):
     """Integrate f over [a, b]; returns (value, error_estimate)."""
     if a == b:
         return 0.0, 0.0
@@ -32,7 +34,7 @@ def adaptive_quad(f, a, b, tol=1e-11, max_panels=4000):
     counter = itertools.count()
     heap = [(-err, next(counter), a, b, val, err)]
     total_err = err
-    while total_err > tol and len(heap) < max_panels:
+    while total_err > tol and len(heap) < MAX_PANELS:
         _, _, pa, pb, pv, pe = heapq.heappop(heap)
         total_err -= pe
         mid = 0.5 * (pa + pb)

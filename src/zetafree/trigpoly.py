@@ -15,6 +15,10 @@ import numpy as np
 from .errors import DegreeOverflowError
 
 MAX_DEGREE = 32
+# verify_nonneg: grid points on [0, pi], and the width to which each
+# candidate minimum is refined
+GRID_POINTS = 200_001
+REFINE_WIDTH = 1e-12
 
 
 @dataclass(frozen=True)
@@ -131,15 +135,15 @@ def power_to_cosine(power_coeffs: Sequence[float]) -> Tuple[float, ...]:
     return tuple(b)
 
 
-def expand_product(form: ProductForm, max_degree: int = MAX_DEGREE) -> CosinePolynomial:
+def expand_product(form: ProductForm) -> CosinePolynomial:
     """Expand a ProductForm into cosine coefficients.
 
     Multiplies the factors in the power basis of c = cos(theta) and then
     changes basis via power_to_cosine.
     """
-    if form.degree > max_degree:
+    if form.degree > MAX_DEGREE:
         raise DegreeOverflowError(
-            f"degree {form.degree} exceeds the configured maximum {max_degree}"
+            f"degree {form.degree} exceeds the configured maximum {MAX_DEGREE}"
         )
     pc = [float(form.scale)]
     if form.half_angle_factor:
@@ -155,7 +159,7 @@ def expand_product(form: ProductForm, max_degree: int = MAX_DEGREE) -> CosinePol
     return CosinePolynomial(b)
 
 
-def _golden_min_mp(coeffs, a, b, width=1e-12):
+def _golden_min_mp(coeffs, a, b):
     """Golden-section refinement in extended precision.
 
     Double precision cannot localize a high-order zero-touching minimum
@@ -170,7 +174,7 @@ def _golden_min_mp(coeffs, a, b, width=1e-12):
         c = b - invphi * (b - a)
         d = a + invphi * (b - a)
         fc, fd = f(c), f(d)
-        while (b - a) > width:
+        while (b - a) > REFINE_WIDTH:
             if fc < fd:
                 b, d, fd = d, c, fc
                 c = b - invphi * (b - a)
@@ -183,31 +187,28 @@ def _golden_min_mp(coeffs, a, b, width=1e-12):
         return float(x), float(f(x))
 
 
-def verify_nonneg(
-    p: CosinePolynomial,
-    tol: float = 1e-12,
-    grid_points: int = 200_001,
-) -> Union[Certificate, Violation]:
+def verify_nonneg(p: CosinePolynomial, tol: float = 1e-12) -> Union[Certificate, Violation]:
     """Check p >= -tol on [0, pi] (evenness covers the rest).
 
     Dense grid scan followed by golden-section refinement of every local
-    minimum down to width 1e-12.
+    minimum down to width REFINE_WIDTH.  A flat stretch of the grid counts
+    as one minimum, at its first point.
     """
     if tol < 0:
         raise ValueError("tol must be >= 0")
-    thetas = np.linspace(0.0, np.pi, grid_points)
+    thetas = np.linspace(0.0, np.pi, GRID_POINTS)
     vals = eval_poly(p, thetas)
-    interior = (vals[1:-1] <= vals[:-2]) & (vals[1:-1] <= vals[2:])
+    interior = (vals[1:-1] < vals[:-2]) & (vals[1:-1] <= vals[2:])
     candidates = list(np.nonzero(interior)[0] + 1)
     if vals[0] <= vals[1]:
         candidates.append(0)
     if vals[-1] <= vals[-2]:
-        candidates.append(grid_points - 1)
+        candidates.append(GRID_POINTS - 1)
 
     best_x, best_v = 0.0, vals[0]
     for i in candidates:
         lo = thetas[max(i - 1, 0)]
-        hi = thetas[min(i + 1, grid_points - 1)]
+        hi = thetas[min(i + 1, GRID_POINTS - 1)]
         x, v = _golden_min_mp(p.coeffs, lo, hi)
         if v < best_v:
             best_x, best_v = x, v

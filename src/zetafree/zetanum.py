@@ -58,22 +58,6 @@ def _sieve_primes(limit: int) -> np.ndarray:
     return np.nonzero(is_prime)[0]
 
 
-def von_mangoldt(N: int, max_n: int = DEFAULT_MAX_N) -> VonMangoldtTable:
-    """Exact Lambda table by a linear sieve over prime powers."""
-    if N < 2:
-        raise ValueError("N must be >= 2")
-    if N > max_n:
-        raise CapacityError(f"N = {N} exceeds the sieve cap {max_n}")
-    values = np.zeros(N + 1)
-    for p in _sieve_primes(N):
-        logp = math.log(p)
-        q = p
-        while q <= N:
-            values[q] = logp
-            q *= p
-    return VonMangoldtTable(N=N, values=values)
-
-
 class _PrimePowerCache:
     """Sorted prime powers n <= limit with their Lambda values, grown on demand."""
 
@@ -107,15 +91,32 @@ class _PrimePowerCache:
         self.log_n = np.log(self.n)
         self.limit = limit
 
+    def upto(self, N: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(n, Lambda(n), log n) for the prime powers n <= N, ascending in n."""
+        self.ensure(N)
+        i = np.searchsorted(self.n, N, side="right")
+        return self.n[:i], self.lam[:i], self.log_n[:i]
+
 
 _CACHE = _PrimePowerCache()
 
 
+def von_mangoldt(N: int, max_n: int = DEFAULT_MAX_N) -> VonMangoldtTable:
+    """Exact Lambda table, a dense view of the shared prime-power cache."""
+    if N < 2:
+        raise ValueError("N must be >= 2")
+    if N > max_n:
+        raise CapacityError(f"N = {N} exceeds the sieve cap {max_n}")
+    n, lam, _ = _CACHE.upto(N)
+    values = np.zeros(N + 1)
+    values[n.astype(np.int64)] = lam
+    return VonMangoldtTable(N=N, values=values)
+
+
 def _lambda_sum(s: complex, N: int) -> complex:
     """sum_{n <= N} Lambda(n) * n^(-s) over cached prime powers."""
-    _CACHE.ensure(N)
-    i = np.searchsorted(_CACHE.n, N, side="right")
-    return complex(np.sum(_CACHE.lam[:i] * np.exp(-s * _CACHE.log_n[:i])))
+    _, lam, log_n = _CACHE.upto(N)
+    return complex(np.sum(lam * np.exp(-s * log_n)))
 
 
 def tail_bound(N: int, sigma: float) -> float:
@@ -418,10 +419,8 @@ def applied_trig_sum(
     lhs = sum(
         bj * _lambda_sum(complex(x, j * y), N).real for j, bj in enumerate(b)
     )
-    _CACHE.ensure(N)
-    i = np.searchsorted(_CACHE.n, N, side="right")
-    log_n = _CACHE.log_n[:i]
-    weights = _CACHE.lam[:i] * np.exp(-x * log_n)
+    _, lam, log_n = _CACHE.upto(N)
+    weights = lam * np.exp(-x * log_n)
     rhs = float(np.sum(weights * eval_poly(p, y * log_n)))
     # the shared tail is bounded coefficient-by-coefficient
     bound = sum(abs(bj) for bj in b) * tail_bound(N, x)

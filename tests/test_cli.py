@@ -94,6 +94,31 @@ def test_config_flag_override(tmp_path):
     assert cfg.params["starts"] == 3
 
 
+def test_config_loses_to_abbreviated_flag(tmp_path):
+    path = _write_config(tmp_path, {"starts": 3})
+    cfg = parse_config(["--config", path, "optimize", "--degree", "5",
+                        "--half-angle-factor", "--start", "9"])
+    assert cfg.params["starts"] == 9
+
+
+def test_config_values_are_checked_like_flags(tmp_path, capsys):
+    path = _write_config(tmp_path, {"format": "xml"})
+    assert main(["--config", path, "eval-poly", "--coeffs", "3,4,1"]) == 1
+    assert "xml" in capsys.readouterr().err
+    path = _write_config(tmp_path, {"tol": "abc"})
+    assert main(["--config", path, "verify-trig", "--coeffs", "3,4,1",
+                 "--x", "2", "--y", "1"]) == 1
+    assert "abc" in capsys.readouterr().err
+
+
+def test_config_switches(tmp_path):
+    # true sets a switch, and the degree check sees it; false and null leave flags unset
+    path = _write_config(tmp_path, {"half-angle-factor": True, "tol": None, "seed": False})
+    cfg = parse_config(["--config=" + path, "optimize", "--degree", "5"])
+    assert cfg.params["half-angle-factor"] is True
+    assert cfg.params["tol"] == 1e-10 and cfg.seed == 0
+
+
 def test_config_unknown_key_rejected(tmp_path, capsys):
     path = _write_config(tmp_path, {"granularity": 10})
     assert main(["--config", path, "eval-poly", "--coeffs", "3,4,1"]) == 1
@@ -128,6 +153,28 @@ def test_eval_poly_json(capsys):
         compute_M(CosinePolynomial((3.0, 4.0, 1.0))), rel=1e-12
     )
     assert doc["result"]["coeffs"] == [3.0, 4.0, 1.0]
+
+
+def test_eval_poly_solves_and_checks_once(monkeypatch, capsys):
+    argv = ["eval-poly", "--coeffs", "3,4,1"]
+    assert main(argv) == 0
+    expected = capsys.readouterr().out
+    calls = {"solve_theta": 0, "verify_nonneg": 0}
+    for modname in ("zetafree.cli", "zetafree.asymptotics", "zetafree.mollifier",
+                    "zetafree.trigpoly", "zetafree"):
+        module = sys.modules[modname]
+        for name in calls:
+            if hasattr(module, name):
+                original = getattr(module, name)
+
+                def counted(*args, _name=name, _original=original, **kwargs):
+                    calls[_name] += 1
+                    return _original(*args, **kwargs)
+
+                monkeypatch.setattr(module, name, counted)
+    assert main(argv) == 0
+    assert calls == {"solve_theta": 1, "verify_nonneg": 1}
+    assert capsys.readouterr().out == expected
 
 
 def test_eval_poly_deterministic_bytes(capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import mpmath as mp
@@ -220,6 +221,19 @@ def test_shape_derived_fields():
     assert sh.w0 == pytest.approx(w0_closed(sh.theta))
     assert sh.w0 > 0 and sh.negWp0 > 0
     assert abs(_residual(sh.theta, sh.b1 / sh.b0)) <= 1e-12
+
+
+def test_hand_built_shape_matches_from_coeffs():
+    ref = MollifierShape.from_coeffs(3.0, 4.0, lam=1.0)
+    sh = MollifierShape(theta=ref.theta, b0=3, b1=4, lam=1)
+    assert sh.w_support == ref.w_support
+    assert sh.w0 == ref.w0
+    assert sh.f0 == ref.f0 == pytest.approx(112.69005237, rel=1e-9)
+    assert sh.f_eval(0.3) == ref.f_eval(0.3) == pytest.approx(41.292002, rel=1e-6)
+
+
+def test_shape_stores_only_theta_coeffs_and_lam():
+    assert [f.name for f in dataclasses.fields(MollifierShape)] == ["theta", "b0", "b1", "lam"]
 
 
 def test_f0_is_lambda_times_w0():

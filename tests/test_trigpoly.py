@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -149,6 +151,25 @@ def test_expand_always_nonneg():
             tuple(rng.uniform(0.01, 3.0, size=m)),
         )
         assert isinstance(verify_nonneg(expand_product(form), tol=1e-12), Certificate)
+
+
+@pytest.mark.parametrize("coeffs", [(1.0, 0.0), (2.5, 0.0, 0.0, 0.0), (0.0, 0.0)])
+def test_verify_nonneg_constant_is_quick(coeffs):
+    # a flat grid is one candidate minimum, not one per grid point
+    start = time.perf_counter()
+    cert = verify_nonneg(CosinePolynomial(coeffs))
+    assert time.perf_counter() - start <= 2.0
+    assert cert == Certificate(min_value=coeffs[0], argmin=0.0)
+
+
+@given(
+    st.floats(1e-3, 1e3),
+    st.booleans(),
+    st.lists(st.floats(1e-3, 10.0), min_size=0, max_size=16),
+)
+def test_expand_product_coefficients_nonnegative(scale, half, roots):
+    form = ProductForm(scale, half, tuple(roots[: 16 - half]))  # degree <= 32
+    assert all(b >= 0.0 for b in expand_product(form).coeffs)
 
 
 def test_invalid_inputs():

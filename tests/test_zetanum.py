@@ -53,6 +53,12 @@ def test_psi_100_vs_bruteforce():
     assert table.psi() == pytest.approx(94.045, abs=5e-3)
 
 
+def test_lambda_table_vs_bruteforce():
+    table = von_mangoldt(2000)
+    brute = np.array([0.0, 0.0] + [_lambda_bruteforce(n) for n in range(2, 2001)])
+    assert np.all(np.abs(table.values - brute) <= 1e-15 * brute)
+
+
 def test_lambda_upper_bound():
     table = von_mangoldt(500)
     n = np.arange(2, 501)
