@@ -35,8 +35,6 @@ from .optimizer import optimize
 from .trigpoly import CosinePolynomial
 from .zetanum import DEFAULT_MAX_N, applied_trig_sum, lemma_check
 
-COMMANDS = ("optimize", "eval-poly", "verify-lemma", "verify-trig", "region", "mollifier-table")
-
 
 class UsageError(Exception):
     pass
@@ -110,41 +108,45 @@ def build_parser() -> _Parser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--format", choices=("json", "csv", "text"), default="json")
     common.add_argument("--output", default=None)
 
-    p = sub.add_parser("optimize", parents=[common])
+    def command(name, formats):
+        p = sub.add_parser(name, parents=[common])
+        p.add_argument("--format", choices=formats, default="json")
+        return p
+
+    p = command("optimize", ("json", "csv", "text"))
     p.add_argument("--degree", type=int, required=True)
     p.add_argument("--half-angle-factor", action="store_true")
     p.add_argument("--starts", type=int, default=64)
     p.add_argument("--tol", type=float, default=1e-10)
 
-    p = sub.add_parser("eval-poly", parents=[common])
+    p = command("eval-poly", ("json", "text"))
     p.add_argument("--coeffs", required=True)
     p.add_argument("--A", type=float, default=DEFAULT_A)
     p.add_argument("--B", type=float, default=DEFAULT_B)
 
-    p = sub.add_parser("verify-lemma", parents=[common])
+    p = command("verify-lemma", ("json",))
     p.add_argument("--sigma", type=float, required=True)
     p.add_argument("--t", type=float, default=0.0)
     p.add_argument("--eta", type=float, required=True)
     p.add_argument("--tol", type=float, default=1e-6)
     p.add_argument("--max-n", type=float, default=DEFAULT_MAX_N)
 
-    p = sub.add_parser("verify-trig", parents=[common])
+    p = command("verify-trig", ("json",))
     p.add_argument("--coeffs", required=True)
     p.add_argument("--x", type=float, required=True)
     p.add_argument("--y", type=float, required=True)
     p.add_argument("--tol", type=float, default=1e-6)
     p.add_argument("--max-n", type=float, default=DEFAULT_MAX_N)
 
-    p = sub.add_parser("region", parents=[common])
+    p = command("region", ("json", "csv"))
     p.add_argument("--coeffs", required=True)
     p.add_argument("--A", type=float, default=DEFAULT_A)
     p.add_argument("--B", type=float, default=DEFAULT_B)
     p.add_argument("--t", default="3e12", help="comma-separated ordinates")
 
-    p = sub.add_parser("mollifier-table", parents=[common])
+    p = command("mollifier-table", ("json", "csv"))
     p.add_argument("--b0", type=float, required=True)
     p.add_argument("--b1", type=float, required=True)
     p.add_argument("--lam", type=float, default=1.0)
@@ -352,9 +354,7 @@ def _run_mollifier_table(config: RunConfig):
     rows = []
     u = 0.0
     while u <= shape.w_support + step / 2:
-        rows.append((u, g_eval(shape.theta, u),
-                     w_eval(shape.theta, u) if u <= shape.w_support else 0.0,
-                     shape.f_eval(u)))
+        rows.append((u, g_eval(shape.theta, u), w_eval(shape.theta, u), shape.f_eval(u)))
         u += step
     if config.output_format == "json":
         result = {"theta": shape.theta, "lam": lam,

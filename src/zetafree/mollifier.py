@@ -7,9 +7,10 @@ after which
     g(u) = (cos(u tan theta) - cos theta) * sec^2 theta   for |u| < theta/tan theta,
     w = g * g (convolution square),
     f(u) = lam * exp(lam*u) * w(lam*u)                    for u >= 0,
-and F, W are the Laplace transforms of f and w.  Closed forms are known
-for w(0), F(0) and -W'(0); everything else is computed by quadrature on
-the compact support.
+and F, W are the Laplace transforms of f and w.  g is a trigonometric
+polynomial on its support, so w is elementary and w_eval evaluates it in
+closed form; F(0) and -W'(0) have closed forms too.  W, and F through it,
+is one adaptive quadrature of w(u)*exp(-s*u) over the compact support.
 """
 
 import math
@@ -21,11 +22,9 @@ import mpmath as mp
 import numpy as np
 
 from .errors import RatioOutOfRangeError
-from .quadrature import adaptive_quad, fixed_gauss
+from .quadrature import adaptive_quad
 
 RATIO_WINDOW = (1.0, 3.0)
-# Gauss-Legendre order of the convolution integral in w_eval
-W_GAUSS_ORDER = 60
 
 # The shape equation reads h(theta) = b1/b0 with
 #     h(theta) = sin^2(theta) / (1 - theta*cot(theta)),
@@ -52,6 +51,21 @@ def _shape_series():
 
 
 _U_SERIES, _N_SERIES = _shape_series()
+
+# Series in x = m^2 of the brackets of w_eval that cancel for small m:
+#     m - sin m = m^3 * A(x),  3m - 4 sin m + sin m cos m = m^5 * B(x).
+# On m < pi/2 the 16th terms are below 1e-22 of the first.
+_OVERLAP_TERMS = 16
+
+
+def _overlap_series():
+    a = [Fraction((-1) ** n, math.factorial(2 * n + 3)) for n in range(_OVERLAP_TERMS)]
+    b = [Fraction((-1) ** j * (4**j - 4), math.factorial(2 * j + 1))
+         for j in range(2, _OVERLAP_TERMS + 2)]
+    return tuple(float(c) for c in a), tuple(float(c) for c in b)
+
+
+_M_MINUS_SIN, _W_TAIL = _overlap_series()
 
 # theta as a cubic in sqrt(q), least-squares fit on (0, pi/2); max error 0.011
 _GUESS = (0.9557489301145423, -0.14345517047258544, 0.17519896572112303)
@@ -151,22 +165,37 @@ def g_eval(theta: float, u):
     return float(vals) if np.isscalar(u) else vals
 
 
-def w_eval(theta: float, u: float) -> float:
-    """Convolution square (g*g)(u) for u >= 0 by Gauss-Legendre quadrature."""
-    if u < 0:
+def w_eval(theta: float, u):
+    """Convolution square (g*g)(u) for u >= 0; zero from u = 2*g_support on.
+
+    With k = tan(theta), c = cos(theta) and m = k*max(g_support - u/2, 0),
+    half the overlap of the two supports in angle units,
+        k c^4 w(u) = 2m (cos(theta-m) - c)^2 - 4 (1 - c cos(theta-m)) (m - sin m)
+                     + (3m - 4 sin m + sin m cos m).
+    The differences of cosines are written as products of sines and the
+    last two brackets come from their series in m^2, so nothing cancels
+    as theta -> 0.
+    """
+    u_arr = np.asarray(u, dtype=float)
+    if np.any(u_arr < 0):
         raise ValueError("u must be >= 0")
-    s = g_support(theta)
-    if u >= 2 * s:
-        return 0.0
-    lo, hi = max(-s, u - s), min(s, u + s)
-    return float(fixed_gauss(lambda v: g_eval(theta, v) * g_eval(theta, u - v),
-                             lo, hi, W_GAUSS_ORDER))
+    k, c = np.tan(theta), np.cos(theta)
+    m = k * np.maximum(g_support(theta) - 0.5 * u_arr, 0.0)
+    x = m * m
+    cos_diff = 2.0 * np.sin(theta - 0.5 * m) * np.sin(0.5 * m)
+    one_minus = 2.0 * np.sin(0.5 * theta) ** 2 + 2.0 * c * np.sin(0.5 * (theta - m)) ** 2
+    m_minus_sin = m * x * _horner(_M_MINUS_SIN, x)[0]
+    tail = m * x * x * _horner(_W_TAIL, x)[0]
+    vals = (2.0 * m * cos_diff**2 - 4.0 * one_minus * m_minus_sin + tail) / (k * c**4)
+    return float(vals) if np.isscalar(u) else vals
 
 
 def w0_closed(theta: float) -> float:
-    """w(0) = sec^2(theta) * (theta*tan(theta) + 3*theta*cot(theta) - 3)."""
-    t = np.tan(theta)
-    return float((theta * t + 3.0 * theta / t - 3.0) / np.cos(theta) ** 2)
+    """w(0) = sec^2(theta) * (theta*tan(theta) + 3*theta*cot(theta) - 3).
+
+    That form cancels as theta -> 0, so the value comes from w_eval.
+    """
+    return w_eval(theta, 0.0)
 
 
 def F0_closed(theta: float) -> float:
@@ -189,10 +218,7 @@ def W_eval(theta: float, s, tol: float = 1e-11) -> complex:
     sup = 2.0 * g_support(theta)
     s = complex(s)
 
-    def integrand(u):
-        return np.array([w_eval(theta, float(ui)) for ui in np.atleast_1d(u)]) * np.exp(-s * u)
-
-    val, _ = adaptive_quad(integrand, 0.0, sup, tol=tol)
+    val, _ = adaptive_quad(lambda u: w_eval(theta, u) * np.exp(-s * u), 0.0, sup, tol=tol)
     return complex(val)
 
 
@@ -208,6 +234,10 @@ class MollifierShape:
     b0: float
     b1: float
     lam: Optional[float] = None
+
+    def __post_init__(self):
+        if self.lam is not None and not (math.isfinite(self.lam) and self.lam > 0):
+            raise ValueError(f"lam must be finite and > 0, got {self.lam!r}")
 
     @classmethod
     def from_coeffs(cls, b0: float, b1: float, lam: Optional[float] = None) -> "MollifierShape":

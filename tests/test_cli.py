@@ -216,6 +216,36 @@ def test_mollifier_table_csv(capsys):
     assert float(lines[1].split(",")[0]) == 0.0
 
 
+@pytest.mark.parametrize("lam", ("0", "-1", "nan"))
+def test_mollifier_table_bad_lam(lam, capsys):
+    assert main(["mollifier-table", "--b0", "3", "--b1", "4", "--lam", lam]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "lam must be finite and > 0" in captured.err
+
+
+def test_mollifier_table_makes_no_quadrature_call(monkeypatch, capsys):
+    argv = ["mollifier-table", "--b0", "3", "--b1", "4", "--step", "0.05"]
+    assert main(argv) == 0
+    expected = capsys.readouterr().out
+    calls = {"adaptive_quad": 0, "fixed_gauss": 0}
+    for modname, module in list(sys.modules.items()):
+        if modname != "zetafree" and not modname.startswith("zetafree."):
+            continue
+        for name in calls:
+            if hasattr(module, name):
+                original = getattr(module, name)
+
+                def counted(*args, _name=name, _original=original, **kwargs):
+                    calls[_name] += 1
+                    return _original(*args, **kwargs)
+
+                monkeypatch.setattr(module, name, counted)
+    assert main(argv) == 0
+    assert calls == {"adaptive_quad": 0, "fixed_gauss": 0}
+    assert capsys.readouterr().out == expected
+
+
 def test_mollifier_table_bad_step(capsys):
     assert main(["mollifier-table", "--b0", "3", "--b1", "4",
                  "--step", "-1"]) == 1
@@ -253,3 +283,48 @@ def test_optimize_text_format(capsys):
     out = capsys.readouterr().out
     assert out.startswith("M = ")
     assert "roots = " in out
+
+
+_FORMAT_ARGV = {
+    "optimize": ["optimize", "--degree", "2", "--starts", "2"],
+    "eval-poly": ["eval-poly", "--coeffs", "3,4,1"],
+    "region": ["region", "--coeffs", "3,4,1"],
+    "mollifier-table": ["mollifier-table", "--b0", "3", "--b1", "4", "--step", "0.5"],
+    "verify-lemma": ["verify-lemma", "--sigma", "1.5", "--eta", "0.5",
+                     "--tol", "1e-3", "--max-n", "1e5"],
+    "verify-trig": ["verify-trig", "--coeffs", "3,4,1", "--x", "2", "--y", "1",
+                    "--tol", "1e-3", "--max-n", "1e5"],
+}
+_FORMATS = {
+    "optimize": ("json", "csv", "text"),
+    "eval-poly": ("json", "text"),
+    "region": ("json", "csv"),
+    "mollifier-table": ("json", "csv"),
+    "verify-lemma": ("json",),
+    "verify-trig": ("json",),
+}
+
+
+@pytest.mark.parametrize("command,fmt", [
+    (c, f) for c, fmts in _FORMATS.items() for f in ("json", "csv", "text") if f not in fmts
+])
+def test_unsupported_format_exits_one(command, fmt, tmp_path, capsys):
+    assert main(_FORMAT_ARGV[command] + ["--format", fmt]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--format" in captured.err
+    path = _write_config(tmp_path, {"format": fmt})
+    assert main(["--config", path] + _FORMAT_ARGV[command]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--format" in captured.err
+
+
+@pytest.mark.parametrize("command,fmt", [(c, f) for c, fmts in _FORMATS.items() for f in fmts])
+def test_supported_format_is_emitted(command, fmt, capsys):
+    assert main(_FORMAT_ARGV[command] + ["--format", fmt]) == 0
+    out = capsys.readouterr().out
+    if fmt == "json":
+        assert json.loads(out)["config"]["format"] == "json"
+    elif fmt == "csv":
+        assert "," in out.splitlines()[0] and not out.startswith("{")
+    else:
+        assert " = " in out.splitlines()[0]

@@ -176,6 +176,54 @@ def test_w_even_reflected_overlap():
         assert direct == pytest.approx(reflected, abs=1e-11)
 
 
+def _w_mp(theta, u):
+    """(g*g)(u) by a 30-digit mpmath quadrature over the overlap of the supports."""
+    with mp.workdps(30):
+        th, u = mp.mpf(theta), mp.mpf(u)
+        k, c = mp.tan(th), mp.cos(th)
+        s = th / k
+        if u >= 2 * s:
+            return mp.mpf(0)
+        g = lambda v: (mp.cos(v * k) - c) / c**2
+        return mp.quad(lambda v: g(v) * g(u - v), [u - s, u / 2, s])
+
+
+def _w0_mp(theta):
+    with mp.workdps(30):
+        th = mp.mpf(theta)
+        return (th * mp.tan(th) + 3 * th * mp.cot(th) - 3) / mp.cos(th) ** 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(1e-3, math.pi / 2 - 1e-6), st.floats(0.0, 1.0))
+def test_w_matches_mpmath_convolution(theta, frac):
+    u = frac * 2.0 * g_support(theta)
+    assert abs(w_eval(theta, u) - _w_mp(theta, u)) <= 1e-14 * _w0_mp(theta)
+
+
+def test_w_array_equals_scalar_calls():
+    th = 0.9
+    u = np.linspace(0.0, 2.5 * g_support(th), 41)
+    vals = w_eval(th, u)
+    assert isinstance(vals, np.ndarray) and vals.shape == u.shape
+    assert vals.tolist() == [w_eval(th, float(x)) for x in u]
+    assert (vals >= 0.0).all()
+    assert (vals[u >= 2.0 * g_support(th)] == 0.0).all()
+
+
+def test_w_rejects_negative_u():
+    with pytest.raises(ValueError):
+        w_eval(0.9, -0.1)
+    with pytest.raises(ValueError):
+        w_eval(0.9, np.array([0.1, -0.1]))
+
+
+@pytest.mark.parametrize("theta", (0.01, 0.05, 0.1))
+def test_w0_closed_small_theta_vs_mpmath(theta):
+    exact = _w0_mp(theta)
+    assert float(abs(w0_closed(theta) - exact) / exact) <= 1e-14
+
+
 @pytest.mark.parametrize("theta", THETA_GRID)
 def test_w0_closed_vs_quadrature(theta):
     s = g_support(theta)
@@ -281,3 +329,11 @@ def test_lambda_must_be_set():
         F_eval(sh, 1.0)
     with pytest.raises(ValueError):
         sh.f0
+
+
+@pytest.mark.parametrize("lam", (0.0, -1.0, float("nan"), float("inf")))
+def test_lambda_must_be_finite_and_positive(lam):
+    with pytest.raises(ValueError, match="lam"):
+        MollifierShape.from_coeffs(3.0, 4.0, lam=lam)
+    with pytest.raises(ValueError, match="lam"):
+        MollifierShape(theta=0.9, b0=3.0, b1=4.0, lam=lam)
