@@ -9,8 +9,9 @@ after which
     f(u) = lam * exp(lam*u) * w(lam*u)                    for u >= 0,
 and F, W are the Laplace transforms of f and w.  g is a trigonometric
 polynomial on its support, so w is elementary and w_eval evaluates it in
-closed form; F(0) and -W'(0) have closed forms too.  W, and F through it,
-is one adaptive quadrature of w(u)*exp(-s*u) over the compact support.
+closed form; F(0) and -W'(0) have closed forms too, taken from series where
+they cancel.  W, and F through it, is one adaptive quadrature of
+w(u)*exp(-s*u) over the compact support.
 """
 
 import math
@@ -66,6 +67,39 @@ def _overlap_series():
 
 
 _M_MINUS_SIN, _W_TAIL = _overlap_series()
+
+# F(0) = 2 tan^2 + 3 - 6 theta/sin(2 theta) ~ 2 theta^4/5 and the textbook
+# form of -W'(0) ~ 4 theta^4/35 lose their leading terms as theta -> 0.  Over
+# common denominators both are entire odd numerators over products of sines
+# and cosines, which do not cancel:
+#     F(0) = D(2 theta) / (cos^2(theta) sin(2 theta)),
+#         D(y) = 5/2 sin y + 1/4 sin 2y - 3/2 y (1 + cos y) = y^5 P(y^2),
+#     -W'(0) = N(theta) / (3 sin^3(theta) cos(theta)),
+#         N(t) = ((15 - 12t^2) sin 2t - (18t - 4t^3) cos 2t - 12t + 4t^3) / 2
+#              = t^7 Q(t^2).
+# D vanishes again at y = pi, so F(0) takes its series only below
+# _F0_SERIES_THETA.  N does not, so -W'(0) always takes it.  The 16th terms
+# are below 1e-21 of the first on the ranges used.
+_F0_SERIES_THETA = 1.0
+_MOMENT_TERMS = 16
+
+
+def _moment_series():
+    def sin_c(j):  # coefficient of y^(2j+1) in sin y
+        return Fraction((-1) ** j, math.factorial(2 * j + 1))
+
+    def cos_c(j):  # coefficient of y^(2j) in cos y
+        return Fraction((-1) ** j, math.factorial(2 * j))
+
+    d = [(Fraction(5, 2) + 2 ** (2 * j - 1)) * sin_c(j) - Fraction(3, 2) * cos_c(j)
+         for j in range(2, _MOMENT_TERMS + 2)]
+    n = [(15 * 2 ** (2 * j + 1) * sin_c(j) - 18 * 4**j * cos_c(j)
+          - 12 * 2 ** (2 * j - 1) * sin_c(j - 1) + 4 * 4 ** (j - 1) * cos_c(j - 1)) / 2
+         for j in range(3, _MOMENT_TERMS + 3)]
+    return tuple(float(c) for c in d), tuple(float(c) for c in n)
+
+
+_F0_SERIES, _NEG_WPRIME0_SERIES = _moment_series()
 
 # theta as a cubic in sqrt(q), least-squares fit on (0, pi/2); max error 0.011
 _GUESS = (0.9557489301145423, -0.14345517047258544, 0.17519896572112303)
@@ -199,18 +233,30 @@ def w0_closed(theta: float) -> float:
 
 
 def F0_closed(theta: float) -> float:
-    """F(0) = 2*tan^2(theta) + 3 - 3*theta*(tan(theta) + cot(theta))."""
-    t = np.tan(theta)
-    return float(2.0 * t**2 + 3.0 - 3.0 * theta * (t + 1.0 / t))
+    """F(0) = 2*tan^2(theta) + 3 - 3*theta*(tan(theta) + cot(theta)).
+
+    That form cancels as theta -> 0; below _F0_SERIES_THETA the value comes
+    from the series of its numerator.
+    """
+    if theta < _F0_SERIES_THETA:
+        y = 2.0 * theta
+        x = y * y
+        return y * x * x * _horner(_F0_SERIES, x)[0] / (math.cos(theta) ** 2 * math.sin(y))
+    t = math.tan(theta)
+    return 2.0 * t**2 + 3.0 - 3.0 * theta * (t + 1.0 / t)
 
 
 def negWprime0_closed(theta: float) -> float:
-    """-W'(0), i.e. the first moment of w on its support."""
-    cot = 1.0 / np.tan(theta)
-    csc = 1.0 / np.sin(theta)
-    sec = 1.0 / np.cos(theta)
-    inner = (15.0 - 12.0 * theta**2 + theta * (-15.0 + 4.0 * theta**2) * cot) * csc
-    return float((csc * (inner + 3.0 * theta * sec)) / 3.0)
+    """-W'(0), i.e. the first moment of w on its support:
+        -W'(0) = csc(theta) * (csc(theta) * (15 - 12 theta^2
+                 + theta (4 theta^2 - 15) cot(theta)) + 3 theta sec(theta)) / 3.
+
+    That form cancels as theta -> 0, so the value comes from the series of
+    its numerator over 3 sin^3(theta) cos(theta).
+    """
+    x = theta * theta
+    numerator = theta * x**3 * _horner(_NEG_WPRIME0_SERIES, x)[0]
+    return numerator / (3.0 * math.sin(theta) ** 3 * math.cos(theta))
 
 
 def W_eval(theta: float, s, tol: float = 1e-11) -> complex:

@@ -1,13 +1,19 @@
 """Multistart derivative-free search for the product form maximizing M.
 
-Each start runs Nelder-Mead (reflection 1, expansion 2, contraction 0.5,
-shrink 0.5) over the root offsets in log coordinates.  Candidates whose
-expansion fails the feasibility checks (b0, b1 positive, b1/b0 inside the
-shape-equation window) score minus infinity.
+The starts are the points of a scrambled Halton sequence (Owen, "A
+randomized Halton algorithm in R", arXiv:1706.02808) in the box of log
+root offsets.  Each start runs Nelder-Mead (Nelder and Mead, Comput. J. 7,
+1965; reflection 1, expansion 2, contraction 0.5, shrink 0.5) over the root
+offsets in log coordinates, for at most MAX_ITER iterations.  Candidates
+whose expansion fails the feasibility checks (b0, b1 positive, b1/b0 inside
+the shape-equation window) score a penalty.  Both algorithms are written
+here in numpy, and the tests check them point for point against reference
+implementations.
 """
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import List, Optional, Tuple, Union
 
 import numpy as np
@@ -18,7 +24,14 @@ from .mollifier import RATIO_WINDOW, solve_theta
 from .trigpoly import Certificate, CosinePolynomial, ProductForm, expand_product, verify_nonneg
 
 ROOT_BOX = (0.01, 3.0)
+MAX_ITER = 4000
 _PENALTY = 1e9
+_FATOL = 1e-15
+
+# Nelder-Mead reflection, expansion, contraction and shrink coefficients
+_RHO, _CHI, _PSI, _SIGMA = 1.0, 2.0, 0.5, 0.5
+# initial simplex: each coordinate in turn scaled by 1.05, or set to 0.00025 if 0
+_NONZERO_STEP, _ZERO_STEP = 0.05, 0.00025
 
 
 @dataclass(frozen=True)
@@ -41,7 +54,7 @@ class OptimizationResult:
     M: float
     starts_used: int
     trace: Tuple[Tuple[int, float], ...]
-    notes: Tuple[str, ...] = ()  # always empty; kept for the output schema
+    notes: Tuple[str, ...] = ()
 
 
 def evaluate_candidate(form: ProductForm) -> Union[CandidateEval, Rejection]:
@@ -73,6 +86,96 @@ def _objective(x: np.ndarray, half: bool) -> float:
     return -result.M
 
 
+def _first_primes(count: int) -> List[int]:
+    primes: List[int] = []
+    n = 2
+    while len(primes) < count:
+        if all(n % p for p in primes):
+            primes.append(n)
+        n += 1
+    return primes
+
+
+def _scrambled_halton(dim: int, n: int, seed: int) -> np.ndarray:
+    """The first n points of the dim-dimensional scrambled Halton sequence.
+
+    Coordinate k is the radical inverse of the point index in the k-th
+    prime base, with digit j replaced by perm_j[digit]: one random
+    permutation of the digits per place j with base**-(j+1) above 2**-54,
+    drawn base by base from default_rng(seed).
+    """
+    rng = np.random.default_rng(seed)
+    points = np.zeros((n, dim))
+    for k, base in enumerate(_first_primes(dim)):
+        perms = np.repeat(np.arange(base)[None], math.ceil(54 / math.log2(base)) - 1, axis=0)
+        quotient = np.arange(n)
+        b2r = 1.0 / base
+        for perm in perms:
+            rng.shuffle(perm)
+            quotient, digit = np.divmod(quotient, base)
+            points[:, k] += perm[digit] * b2r
+            b2r /= base
+    return points
+
+
+def _nelder_mead(f, x0: np.ndarray, xatol: float) -> Tuple[np.ndarray, bool]:
+    """Minimize f from x0; return the best vertex and whether it converged.
+
+    It stops when every vertex is within xatol of the best one in each
+    coordinate and every value within _FATOL of the best value, or after
+    MAX_ITER iterations.  Ties in the values are frequent on the flat top
+    of M, so the simplex is ordered with np.argsort, whose order among
+    ties the results depend on.
+    """
+    n = len(x0)
+    sim = np.empty((n + 1, n))
+    sim[0] = x0
+    for k in range(n):
+        y = np.array(x0, copy=True)
+        y[k] = (1 + _NONZERO_STEP) * y[k] if y[k] != 0 else _ZERO_STEP
+        sim[k + 1] = y
+    fsim = np.array([f(v) for v in sim])
+    order = np.argsort(fsim)
+    sim, fsim = sim[order], fsim[order]
+
+    iterations = 1
+    while iterations < MAX_ITER:
+        if (np.max(np.abs(sim[1:] - sim[0])) <= xatol
+                and np.max(np.abs(fsim[0] - fsim[1:])) <= _FATOL):
+            return sim[0], True
+        xbar = np.add.reduce(sim[:-1], 0) / n
+        xr = (1 + _RHO) * xbar - _RHO * sim[-1]
+        fxr = f(xr)
+        if fxr < fsim[0]:
+            xe = (1 + _RHO * _CHI) * xbar - _RHO * _CHI * sim[-1]
+            fxe = f(xe)
+            if fxe < fxr:
+                sim[-1], fsim[-1] = xe, fxe
+            else:
+                sim[-1], fsim[-1] = xr, fxr
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        else:
+            if fxr < fsim[-1]:  # outside contraction
+                xc = (1 + _PSI * _RHO) * xbar - _PSI * _RHO * sim[-1]
+                fxc = f(xc)
+                accept = fxc <= fxr
+            else:  # inside contraction
+                xc = (1 - _PSI) * xbar + _PSI * sim[-1]
+                fxc = f(xc)
+                accept = fxc < fsim[-1]
+            if accept:
+                sim[-1], fsim[-1] = xc, fxc
+            else:
+                for j in range(1, n + 1):
+                    sim[j] = sim[0] + _SIGMA * (sim[j] - sim[0])
+                    fsim[j] = f(sim[j])
+        iterations += 1
+        order = np.argsort(fsim)
+        sim, fsim = sim[order], fsim[order]
+    return sim[0], False
+
+
 def optimize(
     degree: int,
     half_angle_factor: bool,
@@ -84,6 +187,8 @@ def optimize(
 
     Deterministic for a fixed (degree, half_angle_factor, starts, seed,
     tol); increasing starts only appends to the same start sequence.
+    A start that stops at the MAX_ITER cap instead of reaching tol still
+    counts, and is reported in notes.
     """
     e = 1 if half_angle_factor else 0
     if degree < 2 or degree > 32:
@@ -97,29 +202,23 @@ def optimize(
         raise ValueError("need at least one squared factor")
     if starts < 1:
         raise ValueError("starts must be >= 1")
-
-    # scipy is imported here so that importing the package does not pay for it
-    from scipy.optimize import minimize
-    from scipy.stats import qmc
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and > 0, got {tol!r}")
 
     lo, hi = math.log(ROOT_BOX[0]), math.log(ROOT_BOX[1])
-    sampler = qmc.Halton(d=m, scramble=True, seed=seed)
-    points = lo + (hi - lo) * sampler.random(starts)
+    points = lo + (hi - lo) * _scrambled_halton(m, starts, seed)
+    objective = partial(_objective, half=half_angle_factor)
 
     best: Optional[CandidateEval] = None
     best_roots: Optional[Tuple[float, ...]] = None
     trace: List[Tuple[int, float]] = []
+    capped = 0
     for idx, x0 in enumerate(points):
-        if _objective(x0, half_angle_factor) >= _PENALTY:
+        if objective(x0) >= _PENALTY:
             continue
-        res = minimize(
-            _objective,
-            x0,
-            args=(half_angle_factor,),
-            method="Nelder-Mead",
-            options={"xatol": tol, "fatol": 1e-15, "maxiter": 4000},
-        )
-        cand_roots = tuple(sorted(float(a) for a in np.exp(res.x)))
+        x, converged = _nelder_mead(objective, x0, tol)
+        capped += not converged
+        cand_roots = tuple(sorted(float(a) for a in np.exp(x)))
         cand = evaluate_candidate(ProductForm(1.0, half_angle_factor, cand_roots))
         if isinstance(cand, Rejection):
             continue
@@ -144,4 +243,5 @@ def optimize(
         M=best.M,
         starts_used=starts,
         trace=tuple(trace),
+        notes=(f"{capped} of {starts} starts stopped at the iteration cap",) if capped else (),
     )

@@ -29,6 +29,14 @@ def test_cli_import_does_not_load_scipy():
     code = "import sys, zetafree.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == "[]"
+    # optimize itself runs without scipy: -X importtime lists every module loaded
+    argv = ["optimize", "--degree", "3", "--half-angle-factor", "--starts", "8"]
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "zetafree.cli", *argv],
+                          capture_output=True, text=True, check=True)
+    loaded = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()]
+    assert "zetafree.optimizer" in loaded
+    assert [m for m in loaded if m.split(".")[0] == "scipy"] == []
+    assert json.loads(proc.stdout)["result"]["M"] > 0
 
 
 # ---------------------------------------------------------------------------
@@ -59,6 +67,13 @@ def test_parity_conflict_exits_one(capsys):
     assert main(["optimize", "--degree", "4", "--half-angle-factor"]) == 1
     err = capsys.readouterr().err
     assert "degree 4" in err and "half-angle-factor" in err
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+def test_bad_optimize_tol_exits_one(capsys, tol):
+    assert main(["optimize", "--degree", "3", "--half-angle-factor", "--tol", tol]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "tol must be finite and > 0" in captured.err
 
 
 def test_domain_error_exits_one(capsys):

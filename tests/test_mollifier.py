@@ -4,7 +4,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
@@ -248,6 +248,32 @@ def test_negWprime0_closed_vs_first_moment(theta):
         tol=1e-11,
     )
     assert negWprime0_closed(theta) == pytest.approx(quad, abs=1e-8 * max(1.0, abs(quad)))
+
+
+def _F0_mp(theta):
+    with mp.workdps(50):
+        th = mp.mpf(theta)
+        return 2 * mp.tan(th) ** 2 + 3 - 3 * th * (mp.tan(th) + mp.cot(th))
+
+
+def _negWprime0_mp(theta):
+    with mp.workdps(50):
+        th = mp.mpf(theta)
+        inner = (15 - 12 * th**2 + th * (4 * th**2 - 15) * mp.cot(th)) * mp.csc(th)
+        return mp.csc(th) * (inner + 3 * th * mp.sec(th)) / 3
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(1e-4, math.pi / 2 - 1e-6))
+@example(1e-4)
+@example(0.01)
+@example(0.1)
+@example(0.3)
+@example(1.0)
+@example(math.pi / 2 - 1e-6)
+def test_F0_and_negWprime0_match_mpmath(theta):
+    assert abs(F0_closed(theta) / _F0_mp(theta) - 1) <= 1e-13
+    assert abs(negWprime0_closed(theta) / _negWprime0_mp(theta) - 1) <= 1e-13
 
 
 def test_W_at_zero_is_half_square_of_g_integral():

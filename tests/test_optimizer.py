@@ -1,11 +1,22 @@
+import math
+import re
+from functools import partial
+
 import numpy as np
 import pytest
+from scipy.optimize import minimize
+from scipy.stats import qmc
 
 import zetafree.optimizer
 from zetafree.asymptotics import compute_M
 from zetafree.optimizer import (
+    MAX_ITER,
+    ROOT_BOX,
     CandidateEval,
     Rejection,
+    _nelder_mead,
+    _objective,
+    _scrambled_halton,
     evaluate_candidate,
     optimize,
 )
@@ -96,3 +107,72 @@ def test_local_flat_top(d5_small):
             res = evaluate_candidate(ProductForm(1.0, True, tuple(perturbed)))
             assert isinstance(res, CandidateEval)
             assert res.M <= base + 1e-7
+
+
+# ---------------------------------------------------------------------------
+# the built-in Halton and Nelder-Mead against scipy's
+# ---------------------------------------------------------------------------
+
+def _scipy_halton(dim, n, seed):
+    return qmc.Halton(d=dim, scramble=True, seed=seed).random(n)
+
+
+def _scipy_nelder_mead(f, x0, xatol):
+    res = minimize(f, x0, method="Nelder-Mead",
+                   options={"xatol": xatol, "fatol": 1e-15, "maxiter": MAX_ITER})
+    return res.x, res.status == 0
+
+
+@pytest.mark.parametrize("dim", range(1, 17))
+def test_halton_equals_scipy(dim):
+    for seed in (0, 1, 7, 123):
+        assert np.array_equal(_scrambled_halton(dim, 128, seed), _scipy_halton(dim, 128, seed))
+
+
+@pytest.mark.parametrize("degree", range(3, 8))
+def test_nelder_mead_equals_scipy(degree):
+    half = degree % 2 == 1
+    lo, hi = math.log(ROOT_BOX[0]), math.log(ROOT_BOX[1])
+    objective = partial(_objective, half=half)
+    starts = lo + (hi - lo) * _scrambled_halton(degree // 2, 12, degree)
+    compared = 0
+    for x0 in starts:
+        if objective(x0) >= 1e9:
+            continue
+        x, converged = _nelder_mead(objective, x0, 1e-10)
+        ref_x, ref_converged = _scipy_nelder_mead(objective, x0, 1e-10)
+        assert np.array_equal(x, ref_x)
+        assert converged == ref_converged
+        compared += 1
+    assert compared >= 6
+
+
+@pytest.mark.parametrize("degree,half", [(5, True), (4, False)])
+@pytest.mark.parametrize("seed", [0, 3])
+def test_optimize_equals_scipy_driven_reference(monkeypatch, degree, half, seed):
+    res = optimize(degree, half, starts=64, seed=seed)
+    monkeypatch.setattr(zetafree.optimizer, "_scrambled_halton", _scipy_halton)
+    monkeypatch.setattr(zetafree.optimizer, "_nelder_mead", _scipy_nelder_mead)
+    assert res == optimize(degree, half, starts=64, seed=seed)
+
+
+# ---------------------------------------------------------------------------
+# tol and the iteration cap
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1.0])
+def test_tol_must_be_finite_and_positive(tol):
+    with pytest.raises(ValueError, match="tol"):
+        optimize(3, True, starts=1, tol=tol)
+
+
+def test_notes_empty_when_every_start_converges(d5_small):
+    assert d5_small.notes == ()
+
+
+def test_notes_count_starts_at_iteration_cap(monkeypatch):
+    monkeypatch.setattr(zetafree.optimizer, "MAX_ITER", 3)
+    res = optimize(4, False, starts=8, seed=0)
+    assert len(res.notes) == 1
+    match = re.fullmatch(r"(\d+) of 8 starts stopped at the iteration cap", res.notes[0])
+    assert match and int(match.group(1)) >= len(res.trace) > 0
