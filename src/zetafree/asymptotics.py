@@ -79,10 +79,13 @@ def compute_M(p: CosinePolynomial) -> float:
 
 def M_from_theta(b: Sequence[float], theta: float) -> float:
     """M for coefficients b_0..b_d whose shape angle theta is already solved."""
-    s_all = sum(b)
-    s_tail = sum(b[1:])
+    return M_from_sums(b[0], sum(b[1:]), sum(b), theta)
+
+
+def M_from_sums(b0: float, s_tail: float, s_all: float, theta: float) -> float:
+    """M from b_0, sum_{j>=1} b_j, sum_j b_j and the solved shape angle theta."""
     denom = (0.75 * s_tail * math.sqrt(s_all)) ** (2.0 / 3.0)
-    return b[0] * math.cos(theta) ** 2 / denom
+    return b0 * math.cos(theta) ** 2 / denom
 
 
 def compute_C(p: CosinePolynomial, B: float) -> float:

@@ -4,11 +4,12 @@ The starts are the points of a scrambled Halton sequence (Owen, "A
 randomized Halton algorithm in R", arXiv:1706.02808) in the box of log
 root offsets.  Each start runs Nelder-Mead (Nelder and Mead, Comput. J. 7,
 1965; reflection 1, expansion 2, contraction 0.5, shrink 0.5) over the root
-offsets in log coordinates, for at most MAX_ITER iterations.  Candidates
-whose expansion fails the feasibility checks (b0, b1 positive, b1/b0 inside
-the shape-equation window) score a penalty.  Both algorithms are written
-here in numpy, and the tests check them point for point against reference
-implementations.
+offsets in log coordinates, for at most MAX_ITER iterations.  Each point
+is scored from b0, b1 and the coefficient sums, read off the power-basis
+product without the full cosine expansion; points that fail the feasibility
+checks (b0, b1 positive, b1/b0 inside the shape-equation window) score a
+penalty.  Both algorithms are written here in numpy, and the tests check
+them point for point against reference implementations.
 """
 
 import math
@@ -18,10 +19,18 @@ from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
-from .asymptotics import M_from_theta
+from .asymptotics import M_from_sums, M_from_theta
 from .errors import NoFeasiblePointError
 from .mollifier import RATIO_WINDOW, solve_theta
-from .trigpoly import Certificate, CosinePolynomial, ProductForm, expand_product, verify_nonneg
+from .trigpoly import (
+    Certificate,
+    CosinePolynomial,
+    ProductForm,
+    _cosine_sums,
+    _power_product,
+    expand_product,
+    verify_nonneg,
+)
 
 ROOT_BOX = (0.01, 3.0)
 MAX_ITER = 4000
@@ -65,25 +74,40 @@ def evaluate_candidate(form: ProductForm) -> Union[CandidateEval, Rejection]:
     """
     poly = expand_product(form)
     b = poly.coeffs
-    if b[0] <= 0:
-        return Rejection("b0_not_positive")
-    if b[1] <= 0:
-        return Rejection("b1_not_positive")
-    ratio = b[1] / b[0]
-    if not (RATIO_WINDOW[0] < ratio < RATIO_WINDOW[1]):
-        return Rejection("ratio_outside_window")
+    reason = _infeasibility(b[0], b[1])
+    if reason is not None:
+        return Rejection(reason)
     theta = solve_theta(b[0], b[1])
     return CandidateEval(poly=poly, theta=theta, M=M_from_theta(b, theta))
 
 
+def _infeasibility(b0: float, b1: float) -> Optional[str]:
+    """The first feasibility check that (b0, b1) fails, or None."""
+    if b0 <= 0:
+        return "b0_not_positive"
+    if b1 <= 0:
+        return "b1_not_positive"
+    if not (RATIO_WINDOW[0] < b1 / b0 < RATIO_WINDOW[1]):
+        return "ratio_outside_window"
+    return None
+
+
 def _objective(x: np.ndarray, half: bool) -> float:
-    roots = tuple(np.exp(x))
+    """-M of the unit-scale product form with log root offsets x, or _PENALTY.
+
+    Offsets outside twice the root box, and forms that fail the feasibility
+    checks of evaluate_candidate, score _PENALTY.  M needs only b0, b1 and
+    the coefficient sums, which _cosine_sums reads off the power-basis
+    product, so no cosine expansion and no dataclass is built.  The box
+    check keeps every offset finite and positive.
+    """
+    roots = np.exp(x).tolist()
     if any(not (ROOT_BOX[0] * 0.5 <= a <= ROOT_BOX[1] * 2.0) for a in roots):
         return _PENALTY
-    result = evaluate_candidate(ProductForm(1.0, half, roots))
-    if isinstance(result, Rejection):
+    b0, b1, s_tail, s_all = _cosine_sums(_power_product(half, roots))
+    if _infeasibility(b0, b1) is not None:
         return _PENALTY
-    return -result.M
+    return -M_from_sums(b0, s_tail, s_all, solve_theta(b0, b1))
 
 
 def _first_primes(count: int) -> List[int]:
@@ -176,6 +200,24 @@ def _nelder_mead(f, x0: np.ndarray, xatol: float) -> Tuple[np.ndarray, bool]:
     return sim[0], False
 
 
+def _known_at(f, x0: np.ndarray, f0: float):
+    """f, except that its first call at x0 returns the already known f0 = f(x0).
+
+    optimize screens each start with the objective; this hands that value to
+    the simplex's first vertex while the minimizer keeps its (f, x0, xatol)
+    signature.
+    """
+    pending = [True]
+
+    def g(x):
+        if pending[0] and np.array_equal(x, x0):
+            pending[0] = False
+            return f0
+        return f(x)
+
+    return g
+
+
 def optimize(
     degree: int,
     half_angle_factor: bool,
@@ -214,9 +256,10 @@ def optimize(
     trace: List[Tuple[int, float]] = []
     capped = 0
     for idx, x0 in enumerate(points):
-        if objective(x0) >= _PENALTY:
+        f0 = objective(x0)
+        if f0 >= _PENALTY:
             continue
-        x, converged = _nelder_mead(objective, x0, tol)
+        x, converged = _nelder_mead(_known_at(objective, x0, f0), x0, tol)
         capped += not converged
         cand_roots = tuple(sorted(float(a) for a in np.exp(x)))
         cand = evaluate_candidate(ProductForm(1.0, half_angle_factor, cand_roots))

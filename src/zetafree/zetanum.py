@@ -143,6 +143,11 @@ def _n_for_tail(sigma: float, tol: float) -> int:
     return hi
 
 
+def _check_tol(tol: float) -> None:
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and > 0, got {tol!r}")
+
+
 @dataclass(frozen=True)
 class SeriesValue:
     """Truncated Dirichlet-series value with its tail bound."""
@@ -160,8 +165,7 @@ def neg_zeta_logderiv(s: complex, tol: float, max_n: int = DEFAULT_MAX_N) -> Ser
     s = complex(s)
     if s.real < SERIES_RE_MIN:
         raise DomainError(f"Re(s) = {s.real} below the convergence window {SERIES_RE_MIN}")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    _check_tol(tol)
     N = _n_for_tail(s.real, tol)
     if N > max_n:
         raise CapacityError(
@@ -298,6 +302,7 @@ def lemma_lhs(z: complex, eta: float, tol: float, max_n: int = DEFAULT_MAX_N) ->
         raise DomainError(f"Re(z) = {z.real} below the desk-scale window {DESK_RE_MIN}")
     if eta <= 0:
         raise ValueError("eta must be positive")
+    _check_tol(tol)
     value, err, _ = _k_sum(z, eta, tol, max_n)
     return value, err
 
@@ -314,6 +319,7 @@ def lemma_rhs(z: complex, eta: float, tol: float) -> Tuple[float, float]:
         raise DomainError(f"Re(z) = {z.real} below the desk-scale window {DESK_RE_MIN}")
     if eta <= 0:
         raise ValueError("eta must be positive")
+    _check_tol(tol)
     sigma_line = z.real + eta
     sup_log = math.log(zeta_em(complex(sigma_line)).real)
     # truncation: sup_log * 4*exp(-2U) / (4*eta) <= tol/2
@@ -368,6 +374,7 @@ def midpoint_bound_check(
         raise DomainError(f"sigma = {sigma} below the desk-scale window {DESK_RE_MIN}")
     if not (0.0 < eta < 1.0):
         raise ValueError("eta must lie in (0, 1)")
+    _check_tol(tol)
     lhs, lerr, _ = _k_sum(complex(sigma), eta, tol, max_n)
     rhs_val = math.log(zeta_em(complex(sigma + eta)).real) / (2.0 * eta)
     rerr = abs(rhs_val) * 1e-12
@@ -410,6 +417,7 @@ def applied_trig_sum(
     """
     if x < DESK_RE_MIN:
         raise DomainError(f"x = {x} below the desk-scale window {DESK_RE_MIN}")
+    _check_tol(tol)
     cert = verify_nonneg(p)
     if not isinstance(cert, Certificate):
         raise ValueError("p must pass the nonnegativity check")

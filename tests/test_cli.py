@@ -76,6 +76,18 @@ def test_bad_optimize_tol_exits_one(capsys, tol):
     assert captured.out == "" and "tol must be finite and > 0" in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify-lemma", "--sigma", "1.5", "--eta", "0.5", "--tol", "nan"],
+    ["verify-lemma", "--sigma", "1.5", "--eta", "0.5", "--tol", "-1"],
+    ["verify-trig", "--coeffs", "3,4,1", "--x", "1.5", "--y", "2.0", "--tol", "nan"],
+    ["verify-trig", "--coeffs", "3,4,1", "--x", "1.5", "--y", "2.0", "--tol", "0"],
+])
+def test_bad_verify_tol_exits_one(capsys, argv):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "error: tol must be finite and > 0" in captured.err
+
+
 def test_domain_error_exits_one(capsys):
     # b1/b0 outside the admissible ratio window
     assert main(["eval-poly", "--coeffs", "4,3,1"]) == 1

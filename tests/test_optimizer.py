@@ -4,12 +4,15 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize
 from scipy.stats import qmc
 
 import zetafree.optimizer
 from zetafree.asymptotics import compute_M
 from zetafree.optimizer import (
+    _PENALTY,
     MAX_ITER,
     ROOT_BOX,
     CandidateEval,
@@ -20,7 +23,14 @@ from zetafree.optimizer import (
     evaluate_candidate,
     optimize,
 )
-from zetafree.trigpoly import Certificate, ProductForm, expand_product, verify_nonneg
+from zetafree.trigpoly import (
+    Certificate,
+    ProductForm,
+    _cosine_sums,
+    _power_product,
+    expand_product,
+    verify_nonneg,
+)
 
 
 def test_evaluate_candidate_classical():
@@ -56,6 +66,86 @@ def test_evaluate_candidate_solves_theta_once(monkeypatch):
     assert len(calls) == 1
     monkeypatch.undo()
     assert res.M == pytest.approx(compute_M(res.poly), rel=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# the objective reads b0, b1 and the sums off the power basis
+# ---------------------------------------------------------------------------
+
+# log root offsets inside the objective's box (twice ROOT_BOX each way)
+_LOG_OFFSET = st.floats(math.log(ROOT_BOX[0] * 0.5) + 1e-9, math.log(ROOT_BOX[1] * 2.0) - 1e-9)
+
+
+@st.composite
+def _forms(draw):
+    half = draw(st.booleans())
+    x = draw(st.lists(_LOG_OFFSET, min_size=1, max_size=(32 - half) // 2))
+    return half, np.array(x)
+
+
+@settings(deadline=None)
+@given(_forms())
+@example((True, np.log([0.8652559, 0.1974476])))
+@example((False, np.full(16, math.log(6.0) - 1e-9)))
+def test_objective_sums_match_expansion(form):
+    half, x = form
+    roots = np.exp(x).tolist()
+    product = ProductForm(1.0, half, tuple(roots))
+    b = expand_product(product).coeffs
+    sums = _cosine_sums(_power_product(half, roots))
+    expected = (b[0], b[1], math.fsum(b[1:]), math.fsum(b))
+    for got, want in zip(sums, expected):
+        assert got == pytest.approx(want, rel=2e-15, abs=0.0)
+    res = evaluate_candidate(product)
+    assume(isinstance(res, CandidateEval))
+    assert -_objective(x, half) == pytest.approx(res.M, rel=1e-12, abs=0.0)
+
+
+@settings(deadline=None)
+@given(_forms())
+@example((False, np.log([0.01])))
+@example((False, np.log([3.0])))
+@example((True, np.log([0.01, 0.01, 0.01])))
+def test_objective_penalty_exactly_when_rejected(form):
+    half, x = form
+    product = ProductForm(1.0, half, tuple(np.exp(x).tolist()))
+    b = expand_product(product).coeffs
+    ratio = b[1] / b[0]
+    # within rounding of a window edge the two routes may disagree
+    assume(min(abs(ratio - 1.0), abs(ratio - 3.0) / 3.0) > 1e-12)
+    rejected = isinstance(evaluate_candidate(product), Rejection)
+    assert (_objective(x, half) == _PENALTY) == rejected
+
+
+def test_feasible_objective_skips_expansion_and_solves_theta_once(monkeypatch):
+    calls = {"expand_product": 0, "evaluate_candidate": 0, "solve_theta": 0}
+    for name in calls:
+        original = getattr(zetafree.optimizer, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(zetafree.optimizer, name, counted)
+    value = _objective(np.log([0.8652559, 0.1974476]), True)
+    assert calls == {"expand_product": 0, "evaluate_candidate": 0, "solve_theta": 1}
+    assert -value == pytest.approx(0.055127, abs=1e-5)
+
+
+@pytest.mark.parametrize("degree,half", [(5, True), (4, False)])
+def test_each_start_point_is_evaluated_once(monkeypatch, degree, half):
+    seen = []
+    objective = zetafree.optimizer._objective
+
+    def recorded(x, half):
+        seen.append(np.array(x, copy=True))
+        return objective(x, half)
+
+    monkeypatch.setattr(zetafree.optimizer, "_objective", recorded)
+    optimize(degree, half, starts=8, seed=0)
+    lo, hi = math.log(ROOT_BOX[0]), math.log(ROOT_BOX[1])
+    for x0 in lo + (hi - lo) * _scrambled_halton(degree // 2, 8, 0):
+        assert sum(np.array_equal(x, x0) for x in seen) == 1
 
 
 def test_parity_validation():

@@ -1,8 +1,10 @@
+import math
 import time
 
+import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial.chebyshev import poly2cheb
 
@@ -44,6 +46,33 @@ def test_eval_classical_at_zero():
 
 def test_eval_constant():
     assert eval_poly(CosinePolynomial((1.0, 0.0, 0.0)), 2.7) == pytest.approx(1.0, rel=1e-13)
+
+
+def _cosine_sum_mp(coeffs, theta):
+    with mp.workdps(40):
+        t = mp.mpf(float(theta))
+        return mp.fsum(mp.mpf(b) * mp.cos(j * t) for j, b in enumerate(coeffs))
+
+
+@settings(deadline=None)
+@given(
+    st.lists(st.floats(-10.0, 10.0, allow_subnormal=False), min_size=2, max_size=33),
+    st.lists(st.floats(0.0, math.pi), max_size=8),
+)
+@example([0.0] * 32 + [1.0], [1e-3, 0.02, math.pi - 1e-3, math.pi - 0.02])
+@example([1.0, -1.0] * 16 + [1.0], [1e-6, 0.5, math.pi - 1e-6])
+def test_eval_poly_matches_mpmath(coeffs, thetas):
+    # Clenshaw's error stays at rounding level relative to sum |b_j|, also
+    # near 0 and pi where T_j' reaches j^2
+    p = CosinePolynomial(tuple(coeffs))
+    thetas = np.array([0.0, math.pi] + thetas)
+    bound = 1e-14 * math.fsum(abs(b) for b in coeffs)
+    vals = eval_poly(p, thetas)
+    assert vals.shape == thetas.shape
+    for theta, value in zip(thetas, vals):
+        ref = _cosine_sum_mp(coeffs, theta)
+        assert abs(value - ref) <= bound
+        assert eval_poly(p, float(theta)) == value
 
 
 def test_eval_matches_factored_form():
@@ -170,6 +199,16 @@ def test_verify_nonneg_constant_is_quick(coeffs):
 def test_expand_product_coefficients_nonnegative(scale, half, roots):
     form = ProductForm(scale, half, tuple(roots[: 16 - half]))  # degree <= 32
     assert all(b >= 0.0 for b in expand_product(form).coeffs)
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0])
+def test_verify_nonneg_tol_must_be_finite_and_nonnegative(tol):
+    with pytest.raises(ValueError, match="tol"):
+        verify_nonneg(CLASSICAL, tol=tol)
+
+
+def test_verify_nonneg_accepts_zero_tol():
+    assert isinstance(verify_nonneg(CLASSICAL, tol=0.0), Certificate)
 
 
 def test_invalid_inputs():

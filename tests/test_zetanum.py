@@ -282,3 +282,25 @@ def test_applied_trig_random_agreement():
         report = applied_trig_sum(p, x, y, tol=1e-3, max_n=MAXN)
         assert report.passed
         assert report.abs_diff <= 1e-9 * max(1.0, abs(report.lhs))  # same truncation: rounding only
+
+
+# ---------------------------------------------------------------------------
+# tol validation
+# ---------------------------------------------------------------------------
+
+_CALLS_WITH_TOL = {
+    "neg_zeta_logderiv": lambda tol: neg_zeta_logderiv(2.0, tol),
+    "lemma_lhs": lambda tol: lemma_lhs(1.5 + 10j, 0.25, tol),
+    "lemma_rhs": lambda tol: lemma_rhs(1.5 + 10j, 0.25, tol),
+    "lemma_check": lambda tol: lemma_check(1.5 + 10j, 0.25, tol=tol),
+    "midpoint_bound_check": lambda tol: midpoint_bound_check(1.5, 0.25, tol=tol),
+    "applied_trig_sum": lambda tol: applied_trig_sum(CosinePolynomial((3.0, 4.0, 1.0)),
+                                                     2.0, 1.0, tol=tol),
+}
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1.0])
+@pytest.mark.parametrize("name", sorted(_CALLS_WITH_TOL))
+def test_tol_must_be_finite_and_positive(name, tol):
+    with pytest.raises(ValueError, match="tol must be finite and > 0"):
+        _CALLS_WITH_TOL[name](tol)
