@@ -4,7 +4,6 @@ numerics for zero-free-region constants."""
 __version__ = "0.1.0"
 
 from .asymptotics import (
-    AsymptoticParams,
     RegionRow,
     compute_C,
     compute_M,
@@ -37,14 +36,11 @@ from .trigpoly import (
 )
 from .zetanum import (
     VerificationReport,
-    VonMangoldtTable,
     applied_trig_sum,
     lemma_check,
     lemma_lhs,
     lemma_rhs,
     midpoint_bound_check,
     neg_zeta_logderiv,
-    re_cot,
-    von_mangoldt,
     zeta_em,
 )

@@ -22,34 +22,6 @@ DEFAULT_B = 4.45
 
 
 @dataclass(frozen=True)
-class AsymptoticParams:
-    """Bundle of the constants entering the region evaluation.
-
-    A is carried for provenance only; no in-scope formula consumes it.
-    """
-
-    A: float
-    B: float
-    t: float
-    C: float
-    eta: float
-    lam: float
-    M: float
-    lambda_within_hypothesis: bool = True
-
-    @classmethod
-    def build(cls, p: CosinePolynomial, A: float, B: float, t: float) -> "AsymptoticParams":
-        M = compute_M(p)
-        C = compute_C(p, B)
-        eta = eta_of(t, C)
-        lam = lambda_of(t, B, M)
-        return cls(
-            A=A, B=B, t=t, C=C, eta=eta, lam=lam, M=M,
-            lambda_within_hypothesis=lam < eta / 250.0,
-        )
-
-
-@dataclass(frozen=True)
 class RegionRow:
     t: float
     eta: float

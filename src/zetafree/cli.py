@@ -3,16 +3,18 @@
 Subcommands: optimize, eval-poly, verify-lemma, verify-trig, region,
 mollifier-table.  An optional flat JSON config file supplies defaults:
 its values are parsed as flags placed before the explicit ones, so they
-get the same checks and explicit flags win.  JSON output is canonical
-(sorted keys, floats at 17 significant digits) so identical runs are
-byte-identical.  Exit codes: 0 success, 1 validation error, 2
-verification failure.
+get the same checks and explicit flags win.  Every float value must be
+finite: the library checks --tol and --lam, the parser all the others.
+JSON output is canonical (sorted keys, floats at 17 significant digits)
+so identical runs are byte-identical.  Exit codes: 0 success, 1
+validation error, 2 verification failure.
 """
 
 import argparse
 import csv
 import io
 import json
+import math
 import re
 import sys
 
@@ -94,10 +96,22 @@ def _rows_to_csv(header: Sequence[str], rows: Sequence[Sequence[object]]) -> str
 # Parsing
 # ---------------------------------------------------------------------------
 
-def _coeff_list(text: str) -> List[float]:
+def _finite_float(text: str) -> float:
+    """A float flag's value; nan and inf are rejected."""
     try:
-        return [float(x) for x in text.split(",") if x.strip()]
+        value = float(text)
     except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
+
+
+def _coeff_list(text: str) -> List[float]:
+    """Comma-separated finite floats; an empty entry is an error."""
+    try:
+        return [_finite_float(x) for x in text.split(",")]
+    except argparse.ArgumentTypeError:
         raise UsageError(f"bad coefficient list: {text!r}")
 
 
@@ -123,34 +137,34 @@ def build_parser() -> _Parser:
 
     p = command("eval-poly", ("json", "text"))
     p.add_argument("--coeffs", required=True)
-    p.add_argument("--A", type=float, default=DEFAULT_A)
-    p.add_argument("--B", type=float, default=DEFAULT_B)
+    p.add_argument("--A", type=_finite_float, default=DEFAULT_A)
+    p.add_argument("--B", type=_finite_float, default=DEFAULT_B)
 
     p = command("verify-lemma", ("json",))
-    p.add_argument("--sigma", type=float, required=True)
-    p.add_argument("--t", type=float, default=0.0)
-    p.add_argument("--eta", type=float, required=True)
+    p.add_argument("--sigma", type=_finite_float, required=True)
+    p.add_argument("--t", type=_finite_float, default=0.0)
+    p.add_argument("--eta", type=_finite_float, required=True)
     p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--max-n", type=float, default=DEFAULT_MAX_N)
+    p.add_argument("--max-n", type=_finite_float, default=DEFAULT_MAX_N)
 
     p = command("verify-trig", ("json",))
     p.add_argument("--coeffs", required=True)
-    p.add_argument("--x", type=float, required=True)
-    p.add_argument("--y", type=float, required=True)
+    p.add_argument("--x", type=_finite_float, required=True)
+    p.add_argument("--y", type=_finite_float, required=True)
     p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--max-n", type=float, default=DEFAULT_MAX_N)
+    p.add_argument("--max-n", type=_finite_float, default=DEFAULT_MAX_N)
 
     p = command("region", ("json", "csv"))
     p.add_argument("--coeffs", required=True)
-    p.add_argument("--A", type=float, default=DEFAULT_A)
-    p.add_argument("--B", type=float, default=DEFAULT_B)
+    p.add_argument("--A", type=_finite_float, default=DEFAULT_A)
+    p.add_argument("--B", type=_finite_float, default=DEFAULT_B)
     p.add_argument("--t", default="3e12", help="comma-separated ordinates")
 
     p = command("mollifier-table", ("json", "csv"))
-    p.add_argument("--b0", type=float, required=True)
-    p.add_argument("--b1", type=float, required=True)
+    p.add_argument("--b0", type=_finite_float, required=True)
+    p.add_argument("--b1", type=_finite_float, required=True)
     p.add_argument("--lam", type=float, default=1.0)
-    p.add_argument("--step", type=float, default=0.01)
+    p.add_argument("--step", type=_finite_float, default=0.01)
 
     return parser
 

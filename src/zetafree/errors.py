@@ -25,9 +25,5 @@ class CapacityError(ZetafreeError):
     """Requested accuracy needs a sieve larger than the configured cap."""
 
 
-class PoleError(ZetafreeError):
-    """Evaluation requested exactly at a pole."""
-
-
 class NoFeasiblePointError(ZetafreeError):
     """Every optimization start was rejected by the feasibility checks."""

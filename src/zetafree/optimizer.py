@@ -8,8 +8,10 @@ offsets in log coordinates, for at most MAX_ITER iterations.  Each point
 is scored from b0, b1 and the coefficient sums, read off the power-basis
 product without the full cosine expansion; points that fail the feasibility
 checks (b0, b1 positive, b1/b0 inside the shape-equation window) score a
-penalty.  Both algorithms are written here in numpy, and the tests check
-them point for point against reference implementations.
+penalty.  The simplex's best value is the score of its start; only the
+winning start is expanded, by evaluate_candidate, for the reported
+polynomial, theta and M.  Both algorithms are written here in numpy, and
+the tests check them point for point against reference implementations.
 """
 
 import math
@@ -142,8 +144,9 @@ def _scrambled_halton(dim: int, n: int, seed: int) -> np.ndarray:
     return points
 
 
-def _nelder_mead(f, x0: np.ndarray, xatol: float) -> Tuple[np.ndarray, bool]:
-    """Minimize f from x0; return the best vertex and whether it converged.
+def _nelder_mead(f, x0: np.ndarray, f0: float, xatol: float) -> Tuple[np.ndarray, float, bool]:
+    """Minimize f from x0, where f0 = f(x0) is already known; return the
+    best vertex, its value and whether it converged.
 
     It stops when every vertex is within xatol of the best one in each
     coordinate and every value within _FATOL of the best value, or after
@@ -158,7 +161,7 @@ def _nelder_mead(f, x0: np.ndarray, xatol: float) -> Tuple[np.ndarray, bool]:
         y = np.array(x0, copy=True)
         y[k] = (1 + _NONZERO_STEP) * y[k] if y[k] != 0 else _ZERO_STEP
         sim[k + 1] = y
-    fsim = np.array([f(v) for v in sim])
+    fsim = np.array([f0] + [f(v) for v in sim[1:]])
     order = np.argsort(fsim)
     sim, fsim = sim[order], fsim[order]
 
@@ -166,7 +169,7 @@ def _nelder_mead(f, x0: np.ndarray, xatol: float) -> Tuple[np.ndarray, bool]:
     while iterations < MAX_ITER:
         if (np.max(np.abs(sim[1:] - sim[0])) <= xatol
                 and np.max(np.abs(fsim[0] - fsim[1:])) <= _FATOL):
-            return sim[0], True
+            return sim[0], fsim[0], True
         xbar = np.add.reduce(sim[:-1], 0) / n
         xr = (1 + _RHO) * xbar - _RHO * sim[-1]
         fxr = f(xr)
@@ -197,25 +200,7 @@ def _nelder_mead(f, x0: np.ndarray, xatol: float) -> Tuple[np.ndarray, bool]:
         iterations += 1
         order = np.argsort(fsim)
         sim, fsim = sim[order], fsim[order]
-    return sim[0], False
-
-
-def _known_at(f, x0: np.ndarray, f0: float):
-    """f, except that its first call at x0 returns the already known f0 = f(x0).
-
-    optimize screens each start with the objective; this hands that value to
-    the simplex's first vertex while the minimizer keeps its (f, x0, xatol)
-    signature.
-    """
-    pending = [True]
-
-    def g(x):
-        if pending[0] and np.array_equal(x, x0):
-            pending[0] = False
-            return f0
-        return f(x)
-
-    return g
+    return sim[0], fsim[0], False
 
 
 def optimize(
@@ -251,7 +236,7 @@ def optimize(
     points = lo + (hi - lo) * _scrambled_halton(m, starts, seed)
     objective = partial(_objective, half=half_angle_factor)
 
-    best: Optional[CandidateEval] = None
+    best_value = _PENALTY
     best_roots: Optional[Tuple[float, ...]] = None
     trace: List[Tuple[int, float]] = []
     capped = 0
@@ -259,28 +244,26 @@ def optimize(
         f0 = objective(x0)
         if f0 >= _PENALTY:
             continue
-        x, converged = _nelder_mead(_known_at(objective, x0, f0), x0, tol)
+        x, value, converged = _nelder_mead(objective, x0, f0, tol)
         capped += not converged
-        cand_roots = tuple(sorted(float(a) for a in np.exp(x)))
-        cand = evaluate_candidate(ProductForm(1.0, half_angle_factor, cand_roots))
-        if isinstance(cand, Rejection):
-            continue
-        better = best is None or cand.M > best.M or (
-            cand.M == best.M and cand_roots < best_roots
-        )
-        if better:
-            best, best_roots = cand, cand_roots
-        trace.append((idx, best.M))
+        roots = tuple(sorted(float(a) for a in np.exp(x)))
+        if value < best_value or (value == best_value and roots < best_roots):
+            best_value, best_roots = float(value), roots
+        trace.append((idx, -best_value))
 
-    if best is None:
+    if best_roots is None:
         raise NoFeasiblePointError("all starts were rejected")
 
+    best_form = ProductForm(1.0, half_angle_factor, best_roots)
+    best = evaluate_candidate(best_form)
+    if isinstance(best, Rejection):
+        raise NoFeasiblePointError(f"best candidate was rejected: {best.reason}")
     cert = verify_nonneg(best.poly)
     if not isinstance(cert, Certificate):
         raise NoFeasiblePointError("best candidate failed the nonnegativity check")
 
     return OptimizationResult(
-        best_form=ProductForm(1.0, half_angle_factor, best_roots),
+        best_form=best_form,
         best_poly=best.poly,
         theta=best.theta,
         M=best.M,

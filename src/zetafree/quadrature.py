@@ -44,11 +44,3 @@ def adaptive_quad(f, a, b, tol=1e-11):
             total_err += qe
     value = sum(item[4] for item in heap)
     return value, total_err
-
-
-def fixed_gauss(f, a, b, n=50):
-    """Fixed-order Gauss-Legendre rule on [a, b]."""
-    x, w = np.polynomial.legendre.leggauss(n)
-    h = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    return h * np.sum(w * f(mid + h * x))

@@ -95,7 +95,7 @@ class ProductForm:
 
 @dataclass(frozen=True)
 class Certificate:
-    """Grid-plus-refinement evidence that the minimum is >= -tol."""
+    """Grid-plus-refinement evidence that the minimum is >= -tol * sum |b_j|."""
 
     min_value: float
     argmin: float
@@ -103,7 +103,7 @@ class Certificate:
 
 @dataclass(frozen=True)
 class Violation:
-    """Witness angle where the polynomial dips below -tol."""
+    """Witness angle where the polynomial dips below -tol * sum |b_j|."""
 
     theta: float
     value: float
@@ -273,11 +273,13 @@ def _golden_min_mp(coeffs, a, b):
 
 
 def verify_nonneg(p: CosinePolynomial, tol: float = 1e-12) -> Union[Certificate, Violation]:
-    """Check p >= -tol on [0, pi] (evenness covers the rest).
+    """Check p >= -tol * sum |b_j| on [0, pi] (evenness covers the rest).
 
-    Dense grid scan followed by golden-section refinement of every local
-    minimum down to width REFINE_WIDTH.  A flat stretch of the grid counts
-    as one minimum, at its first point.
+    tol is relative: sum |b_j| is the scale of eval_poly's error and of the
+    rounding in expanded coefficients.  Dense grid scan followed by
+    golden-section refinement of every local minimum down to width
+    REFINE_WIDTH.  A flat stretch of the grid counts as one minimum, at its
+    first point.
     """
     if not (math.isfinite(tol) and tol >= 0):
         raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
@@ -297,11 +299,6 @@ def verify_nonneg(p: CosinePolynomial, tol: float = 1e-12) -> Union[Certificate,
         x, v = _golden_min_mp(p.coeffs, lo, hi)
         if v < best_v:
             best_x, best_v = x, v
-    if best_v >= -tol:
+    if best_v >= -tol * math.fsum(abs(b) for b in p.coeffs):
         return Certificate(min_value=float(best_v), argmin=float(best_x))
     return Violation(theta=float(best_x), value=float(best_v))
-
-
-def zero_coefficient_flags(p: CosinePolynomial, tol: float = 0.0) -> Tuple[int, ...]:
-    """Indices j >= 2 where b_j vanishes (permitted, but worth flagging)."""
-    return tuple(j for j in range(2, len(p.coeffs)) if abs(p.coeffs[j]) <= tol)

@@ -24,7 +24,7 @@ from typing import Dict, Tuple
 import mpmath as mp
 import numpy as np
 
-from .errors import CapacityError, DomainError, PoleError
+from .errors import CapacityError, DomainError
 from .quadrature import adaptive_quad
 from .trigpoly import Certificate, CosinePolynomial, eval_poly, verify_nonneg
 
@@ -36,18 +36,6 @@ DESK_RE_MIN = 1.25
 # ---------------------------------------------------------------------------
 # von Mangoldt sieve and prime-power cache
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class VonMangoldtTable:
-    """Lambda(n) for 2 <= n <= N, natural-log units."""
-
-    N: int
-    values: np.ndarray  # index n, entries 0 and 1 unused
-
-    def psi(self) -> float:
-        """Chebyshev psi(N) = sum of the table."""
-        return float(self.values.sum())
-
 
 def _sieve_primes(limit: int) -> np.ndarray:
     is_prime = np.ones(limit + 1, dtype=bool)
@@ -99,18 +87,6 @@ class _PrimePowerCache:
 
 
 _CACHE = _PrimePowerCache()
-
-
-def von_mangoldt(N: int, max_n: int = DEFAULT_MAX_N) -> VonMangoldtTable:
-    """Exact Lambda table, a dense view of the shared prime-power cache."""
-    if N < 2:
-        raise ValueError("N must be >= 2")
-    if N > max_n:
-        raise CapacityError(f"N = {N} exceeds the sieve cap {max_n}")
-    n, lam, _ = _CACHE.upto(N)
-    values = np.zeros(N + 1)
-    values[n.astype(np.int64)] = lam
-    return VonMangoldtTable(N=N, values=values)
 
 
 def _lambda_sum(s: complex, N: int) -> complex:
@@ -205,18 +181,6 @@ def zeta_em(s: complex) -> complex:
             fact *= (2 * j) * (2 * j - 1)
         total += _BERN[2 * j] / fact * prod * N ** (-s - 2 * j + 1)
     return total
-
-
-# ---------------------------------------------------------------------------
-# Cotangent kernel
-# ---------------------------------------------------------------------------
-
-def re_cot(x: float, y: float) -> float:
-    """Re cot(x + iy) = sin(2x) / (cosh(2y) - cos(2x))."""
-    denom = math.cosh(2.0 * y) - math.cos(2.0 * x)
-    if denom <= 0.0 or denom < 1e-300:
-        raise PoleError(f"cot has a pole at x = {x}, y = {y}")
-    return math.sin(2.0 * x) / denom
 
 
 # ---------------------------------------------------------------------------

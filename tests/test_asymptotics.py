@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from zetafree.asymptotics import (
-    AsymptoticParams,
     compute_C,
     compute_M,
     eta_of,
@@ -123,13 +122,6 @@ def test_lambda_eta_ratio_identity():
         eta = eta_of(t, C)
         expected = M / (C * B ** (2.0 / 3.0) * math.log(math.log(t)))
         assert lam / eta == pytest.approx(expected, rel=1e-12)
-
-
-def test_params_bundle_consistency():
-    params = AsymptoticParams.build(D5, A=76.2, B=4.45, t=1e30)
-    assert params.eta == pytest.approx(eta_of(1e30, params.C), rel=1e-14)
-    assert params.lam == pytest.approx(lambda_of(1e30, params.B, params.M), rel=1e-14)
-    assert params.lambda_within_hypothesis == (params.lam < params.eta / 250.0)
 
 
 def test_positive_constants():

@@ -63,6 +63,46 @@ def test_bad_coeff_list_exits_one(capsys):
     assert "four" in capsys.readouterr().err
 
 
+_NONFINITE_FLAGS = [
+    ["eval-poly", "--coeffs", "3,4,1", "--B", "nan"],
+    ["eval-poly", "--coeffs", "3,4,1", "--A", "inf"],
+    ["region", "--coeffs", "3,4,1", "--B=-inf"],
+    ["verify-lemma", "--sigma", "nan", "--eta", "0.5"],
+    ["verify-lemma", "--sigma", "1.5", "--t", "inf", "--eta", "0.5"],
+    ["verify-lemma", "--sigma", "1.5", "--eta", "nan"],
+    ["verify-lemma", "--sigma", "1.5", "--eta", "0.5", "--max-n", "inf"],
+    ["verify-trig", "--coeffs", "3,4,1", "--x", "nan", "--y", "2"],
+    ["verify-trig", "--coeffs", "3,4,1", "--x", "1.5", "--y", "nan"],
+    ["verify-trig", "--coeffs", "3,4,1", "--x", "1.5", "--y", "2", "--max-n", "nan"],
+    ["mollifier-table", "--b0", "nan", "--b1", "4"],
+    ["mollifier-table", "--b0", "3", "--b1", "inf"],
+    ["mollifier-table", "--b0", "3", "--b1", "4", "--step", "inf"],
+    ["mollifier-table", "--b0", "3", "--b1", "4", "--step", "nan"],
+]
+
+
+@pytest.mark.parametrize("argv", _NONFINITE_FLAGS, ids=lambda a: " ".join(a))
+def test_nonfinite_float_flag_exits_one(capsys, argv):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "not a finite number" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval-poly", "--coeffs", "3,,4,1"],
+    ["eval-poly", "--coeffs", "3,4,1,"],
+    ["eval-poly", "--coeffs", "3,nan,1"],
+    ["verify-trig", "--coeffs", "3,4,inf", "--x", "1.5", "--y", "2"],
+    ["region", "--coeffs", "3,4,1", "--t", ","],
+    ["region", "--coeffs", "3,4,1", "--t", "nan"],
+    ["region", "--coeffs", "3,4,1", "--t", "1e6,inf"],
+], ids=lambda a: " ".join(a))
+def test_malformed_list_exits_one(capsys, argv):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "bad coefficient list" in captured.err
+
+
 def test_parity_conflict_exits_one(capsys):
     assert main(["optimize", "--degree", "4", "--half-angle-factor"]) == 1
     err = capsys.readouterr().err
@@ -126,6 +166,18 @@ def test_config_loses_to_abbreviated_flag(tmp_path):
     cfg = parse_config(["--config", path, "optimize", "--degree", "5",
                         "--half-angle-factor", "--start", "9"])
     assert cfg.params["starts"] == 9
+
+
+@pytest.mark.parametrize("values,argv", [
+    ({"B": float("nan")}, ["eval-poly", "--coeffs", "3,4,1"]),
+    ({"step": "inf"}, ["mollifier-table", "--b0", "3", "--b1", "4"]),
+    ({"t": float("-inf")}, ["verify-lemma", "--sigma", "1.5", "--eta", "0.5"]),
+])
+def test_config_nonfinite_value_exits_one(tmp_path, capsys, values, argv):
+    path = _write_config(tmp_path, values)
+    assert main(["--config", path, *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "not a finite number" in captured.err
 
 
 def test_config_values_are_checked_like_flags(tmp_path, capsys):
@@ -255,7 +307,7 @@ def test_mollifier_table_makes_no_quadrature_call(monkeypatch, capsys):
     argv = ["mollifier-table", "--b0", "3", "--b1", "4", "--step", "0.05"]
     assert main(argv) == 0
     expected = capsys.readouterr().out
-    calls = {"adaptive_quad": 0, "fixed_gauss": 0}
+    calls = {"adaptive_quad": 0}
     for modname, module in list(sys.modules.items()):
         if modname != "zetafree" and not modname.startswith("zetafree."):
             continue
@@ -269,7 +321,7 @@ def test_mollifier_table_makes_no_quadrature_call(monkeypatch, capsys):
 
                 monkeypatch.setattr(module, name, counted)
     assert main(argv) == 0
-    assert calls == {"adaptive_quad": 0, "fixed_gauss": 0}
+    assert calls == {"adaptive_quad": 0}
     assert capsys.readouterr().out == expected
 
 

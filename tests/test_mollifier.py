@@ -22,9 +22,17 @@ from zetafree.mollifier import (
     w0_closed,
     w_eval,
 )
-from zetafree.quadrature import adaptive_quad, fixed_gauss
+from zetafree.quadrature import adaptive_quad
 
 THETA_GRID = (0.3, 0.6, 0.9, 1.2, 1.5 - 1e-3)
+
+
+def fixed_gauss(f, a, b, n=50):
+    """Fixed-order Gauss-Legendre rule on [a, b]."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    h = 0.5 * (b - a)
+    mid = 0.5 * (a + b)
+    return h * np.sum(w * f(mid + h * x))
 
 
 def _oracle_theta(b0, b1):

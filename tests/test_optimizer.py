@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 from functools import partial
 
 import numpy as np
@@ -11,6 +12,7 @@ from scipy.stats import qmc
 
 import zetafree.optimizer
 from zetafree.asymptotics import compute_M
+from zetafree.errors import NoFeasiblePointError
 from zetafree.optimizer import (
     _PENALTY,
     MAX_ITER,
@@ -182,6 +184,46 @@ def test_result_consistency(d5_small):
     assert compute_M(res.best_poly) == pytest.approx(res.M, rel=1e-12)
 
 
+def test_reported_values_are_the_winners_evaluation(d5_small):
+    cand = evaluate_candidate(d5_small.best_form)
+    assert (cand.M, cand.theta, cand.poly) == (d5_small.M, d5_small.theta, d5_small.best_poly)
+
+
+def test_optimize_expands_only_the_winner(monkeypatch):
+    calls = {"evaluate_candidate": 0, "expand_product": 0}
+    for modname, module in list(sys.modules.items()):
+        if modname != "zetafree" and not modname.startswith("zetafree."):
+            continue
+        for name in calls:
+            if hasattr(module, name):
+                original = getattr(module, name)
+
+                def counted(*args, _name=name, _original=original, **kwargs):
+                    calls[_name] += 1
+                    return _original(*args, **kwargs)
+
+                monkeypatch.setattr(module, name, counted)
+    optimize(5, True, starts=8, seed=0)
+    assert calls == {"evaluate_candidate": 1, "expand_product": 1}
+
+
+def test_rejected_winner_names_the_reason(monkeypatch):
+    monkeypatch.setattr(zetafree.optimizer, "evaluate_candidate",
+                        lambda form: Rejection("ratio_outside_window"))
+    with pytest.raises(NoFeasiblePointError, match="ratio_outside_window"):
+        optimize(5, True, starts=2, seed=0)
+
+
+@pytest.mark.parametrize("degree", [9, 11, 13, 14])
+def test_optimize_succeeds_at_high_degree(degree):
+    # expanded optima of these degrees dip below zero by rounding alone,
+    # about 1e-16 * sum |b_j|, which an absolute tolerance rejects
+    res = optimize(degree, degree % 2 == 1, starts=8, seed=0)
+    assert res.best_poly.degree == degree
+    assert isinstance(verify_nonneg(res.best_poly), Certificate)
+    assert res.M == pytest.approx(compute_M(res.best_poly), rel=1e-12)
+
+
 def test_trace_nondecreasing(d5_small):
     ms = [m for _, m in d5_small.trace]
     assert all(a <= b + 1e-15 for a, b in zip(ms, ms[1:]))
@@ -207,10 +249,10 @@ def _scipy_halton(dim, n, seed):
     return qmc.Halton(d=dim, scramble=True, seed=seed).random(n)
 
 
-def _scipy_nelder_mead(f, x0, xatol):
+def _scipy_nelder_mead(f, x0, f0, xatol):
     res = minimize(f, x0, method="Nelder-Mead",
                    options={"xatol": xatol, "fatol": 1e-15, "maxiter": MAX_ITER})
-    return res.x, res.status == 0
+    return res.x, res.fun, res.status == 0
 
 
 @pytest.mark.parametrize("dim", range(1, 17))
@@ -227,11 +269,13 @@ def test_nelder_mead_equals_scipy(degree):
     starts = lo + (hi - lo) * _scrambled_halton(degree // 2, 12, degree)
     compared = 0
     for x0 in starts:
-        if objective(x0) >= 1e9:
+        f0 = objective(x0)
+        if f0 >= 1e9:
             continue
-        x, converged = _nelder_mead(objective, x0, 1e-10)
-        ref_x, ref_converged = _scipy_nelder_mead(objective, x0, 1e-10)
+        x, value, converged = _nelder_mead(objective, x0, f0, 1e-10)
+        ref_x, ref_value, ref_converged = _scipy_nelder_mead(objective, x0, f0, 1e-10)
         assert np.array_equal(x, ref_x)
+        assert value == ref_value
         assert converged == ref_converged
         compared += 1
     assert compared >= 6

@@ -5,10 +5,11 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from zetafree.errors import CapacityError, DomainError, PoleError
+from zetafree.errors import CapacityError, DomainError
 from zetafree.trigpoly import CosinePolynomial
 from zetafree.zetanum import (
     _BERN,
+    _CACHE,
     _EM_ORDER,
     applied_trig_sum,
     lemma_check,
@@ -16,9 +17,7 @@ from zetafree.zetanum import (
     lemma_rhs,
     midpoint_bound_check,
     neg_zeta_logderiv,
-    re_cot,
     tail_bound,
-    von_mangoldt,
     zeta_em,
 )
 
@@ -39,35 +38,38 @@ def _lambda_bruteforce(n):
     return math.log(n)  # n prime
 
 
+def _cached_lambda(N):
+    """Lambda(n) for n <= N from the prime-power cache, as {n: Lambda(n)}."""
+    n, lam, _ = _CACHE.upto(N)
+    return dict(zip(n.astype(int).tolist(), lam.tolist()))
+
+
 def test_lambda_prime_power():
-    table = von_mangoldt(20)
-    assert table.values[8] == pytest.approx(math.log(2), rel=1e-15)
-    assert table.values[9] == pytest.approx(math.log(3), rel=1e-15)
-    assert table.values[12] == 0.0
+    table = _cached_lambda(20)
+    assert table[8] == pytest.approx(math.log(2), rel=1e-15)
+    assert table[9] == pytest.approx(math.log(3), rel=1e-15)
+    assert 12 not in table
 
 
 def test_psi_100_vs_bruteforce():
-    table = von_mangoldt(100)
+    psi = sum(_cached_lambda(100).values())
     brute = sum(_lambda_bruteforce(n) for n in range(2, 101))
-    assert table.psi() == pytest.approx(brute, rel=1e-13)
-    assert table.psi() == pytest.approx(94.045, abs=5e-3)
+    assert psi == pytest.approx(brute, rel=1e-13)
+    assert psi == pytest.approx(94.045, abs=5e-3)
 
 
 def test_lambda_table_vs_bruteforce():
-    table = von_mangoldt(2000)
-    brute = np.array([0.0, 0.0] + [_lambda_bruteforce(n) for n in range(2, 2001)])
-    assert np.all(np.abs(table.values - brute) <= 1e-15 * brute)
+    table = _cached_lambda(2000)
+    for n in range(2, 2001):
+        brute = _lambda_bruteforce(n)
+        assert abs(table.get(n, 0.0) - brute) <= 1e-15 * brute
 
 
 def test_lambda_upper_bound():
-    table = von_mangoldt(500)
-    n = np.arange(2, 501)
-    assert np.all(table.values[2:] <= np.log(n) + 1e-12)
-
-
-def test_sieve_capacity():
-    with pytest.raises(CapacityError):
-        von_mangoldt(10**7, max_n=10**6)
+    n, lam, log_n = _CACHE.upto(500)
+    assert np.all(np.diff(n) > 0) and n[-1] <= 500
+    assert np.array_equal(log_n, np.log(n))
+    assert np.all(lam <= log_n + 1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -154,42 +156,6 @@ def test_zeta_window_errors():
         zeta_em(0.9 + 2j)
     with pytest.raises(DomainError):
         zeta_em(1.5 + 2e4j)
-
-
-# ---------------------------------------------------------------------------
-# cotangent kernel
-# ---------------------------------------------------------------------------
-
-def test_recot_quarter_pi():
-    assert re_cot(math.pi / 4, 0.0) == pytest.approx(1.0, rel=1e-14)
-
-
-def test_recot_sign_left_of_axis():
-    rng = np.random.default_rng(4)
-    for _ in range(50):
-        x = rng.uniform(-math.pi / 2 + 1e-6, -1e-6)
-        y = rng.uniform(-3, 3)
-        assert re_cot(x, y) < 0.0
-
-
-def test_recot_matches_complex_cot():
-    for x, y in ((0.3, 5.0), (1.2, 0.4), (-0.7, 2.0)):
-        ref = (1.0 / complex(mp.tan(mp.mpc(x, y)))).real
-        assert re_cot(x, y) == pytest.approx(ref, abs=1e-13)
-
-
-def test_recot_pole():
-    with pytest.raises(PoleError):
-        re_cot(0.0, 0.0)
-    with pytest.raises(PoleError):
-        re_cot(math.pi, 0.0)
-
-
-def test_recot_exponential_decay():
-    # cosh(2y) must dominate cos(2x); the ratio is off by 3e-3 at y = 2
-    for y in range(5, 11):
-        ratio = re_cot(0.3, y + 1.0) / re_cot(0.3, float(y))
-        assert math.exp(-2) - 1e-3 <= ratio <= math.exp(-2) + 1e-3
 
 
 # ---------------------------------------------------------------------------
