@@ -38,6 +38,10 @@ from .trigpoly import CosinePolynomial
 from .zetanum import DEFAULT_MAX_N, applied_trig_sum, lemma_check
 
 
+# mollifier-table refuses a --step that asks for more rows than this
+MAX_TABLE_ROWS = 10**6
+
+
 class UsageError(Exception):
     pass
 
@@ -365,9 +369,15 @@ def _run_mollifier_table(config: RunConfig):
     if step <= 0:
         raise UsageError("step must be positive")
     shape = MollifierShape.from_coeffs(b0, b1, lam=lam)
+    support = float(shape.w_support)
+    if (support + step / 2) / step >= MAX_TABLE_ROWS:
+        raise UsageError(
+            f"step {step!r} gives more than {MAX_TABLE_ROWS} rows over the "
+            f"support [0, {support:.6g}]"
+        )
     rows = []
     u = 0.0
-    while u <= shape.w_support + step / 2:
+    while u <= support + step / 2:
         rows.append((u, g_eval(shape.theta, u), w_eval(shape.theta, u), shape.f_eval(u)))
         u += step
     if config.output_format == "json":

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-import mpmath as mp
 import numpy as np
 
 from .errors import RatioOutOfRangeError
@@ -41,10 +40,20 @@ _SERIES_THETA = 0.6
 _SERIES_TERMS = 14
 
 
+def _bernoulli(n_max: int) -> list:
+    """The Bernoulli numbers B_0..B_n_max as exact fractions, B_1 = -1/2,
+    from sum_{k=0}^{n} C(n+1, k) B_k = 0 for n >= 1."""
+    B = [Fraction(1)]
+    for n in range(1, n_max + 1):
+        B.append(-sum(math.comb(n + 1, k) * B[k] for k in range(n)) / (n + 1))
+    return B
+
+
 def _shape_series():
     u, sin2 = [], []
+    bernoulli = _bernoulli(2 * _SERIES_TERMS + 2)
     for n in range(1, _SERIES_TERMS + 2):
-        u.append(abs(Fraction(*mp.bernfrac(2 * n))) * 4**n / math.factorial(2 * n))
+        u.append(abs(bernoulli[2 * n]) * 4**n / math.factorial(2 * n))
         sin2.append(Fraction((-1) ** (n + 1) * 2 ** (2 * n - 1), math.factorial(2 * n)))
     U = tuple(float(c) for c in u[:_SERIES_TERMS])
     N = tuple(float(3 * u[n] - sin2[n]) for n in range(1, _SERIES_TERMS + 1))

@@ -10,14 +10,16 @@ product without the full cosine expansion; points that fail the feasibility
 checks (b0, b1 positive, b1/b0 inside the shape-equation window) score a
 penalty.  The simplex's best value is the score of its start; only the
 winning start is expanded, by evaluate_candidate, for the reported
-polynomial, theta and M.  Both algorithms are written here in numpy, and
-the tests check them point for point against reference implementations.
+polynomial, theta and M.  Both algorithms are written here, the Halton
+points in numpy and the simplex on lists of floats, and the tests check
+them point for point against reference implementations.
 """
 
 import math
 from dataclasses import dataclass
-from functools import partial
-from typing import List, Optional, Tuple, Union
+from functools import partial, reduce
+from operator import add
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -94,7 +96,7 @@ def _infeasibility(b0: float, b1: float) -> Optional[str]:
     return None
 
 
-def _objective(x: np.ndarray, half: bool) -> float:
+def _objective(x: Sequence[float], half: bool) -> float:
     """-M of the unit-scale product form with log root offsets x, or _PENALTY.
 
     Offsets outside twice the root box, and forms that fail the feasibility
@@ -144,37 +146,44 @@ def _scrambled_halton(dim: int, n: int, seed: int) -> np.ndarray:
     return points
 
 
-def _nelder_mead(f, x0: np.ndarray, f0: float, xatol: float) -> Tuple[np.ndarray, float, bool]:
+def _nelder_mead(f, x0: List[float], f0: float, xatol: float) -> Tuple[List[float], float, bool]:
     """Minimize f from x0, where f0 = f(x0) is already known; return the
     best vertex, its value and whether it converged.
 
     It stops when every vertex is within xatol of the best one in each
     coordinate and every value within _FATOL of the best value, or after
-    MAX_ITER iterations.  Ties in the values are frequent on the flat top
-    of M, so the simplex is ordered with np.argsort, whose order among
-    ties the results depend on.
+    MAX_ITER iterations.  The vertices are lists of floats and f receives
+    a list: on a simplex of a few vertices, numpy's per-call overhead costs
+    more than the arithmetic.  Every step keeps the order of operations of
+    scipy's array implementation (the centroid is summed from the first
+    vertex on, as numpy's axis-0 reduce does), so the iterates are
+    bit-identical to it.  Ties in the values are frequent on the flat top
+    of M, and the iterates depend on their order, so the simplex is still
+    ordered with numpy's argsort, whose default sort is not stable: a stable
+    sort orders ties differently.
     """
     n = len(x0)
-    sim = np.empty((n + 1, n))
-    sim[0] = x0
+    sim = [list(x0)]
     for k in range(n):
-        y = np.array(x0, copy=True)
+        y = list(x0)
         y[k] = (1 + _NONZERO_STEP) * y[k] if y[k] != 0 else _ZERO_STEP
-        sim[k + 1] = y
-    fsim = np.array([f0] + [f(v) for v in sim[1:]])
-    order = np.argsort(fsim)
-    sim, fsim = sim[order], fsim[order]
+        sim.append(y)
+    fsim = [f0] + [f(v) for v in sim[1:]]
+    order = np.array(fsim).argsort().tolist()
+    sim, fsim = [sim[i] for i in order], [fsim[i] for i in order]
 
     iterations = 1
     while iterations < MAX_ITER:
-        if (np.max(np.abs(sim[1:] - sim[0])) <= xatol
-                and np.max(np.abs(fsim[0] - fsim[1:])) <= _FATOL):
-            return sim[0], fsim[0], True
-        xbar = np.add.reduce(sim[:-1], 0) / n
-        xr = (1 + _RHO) * xbar - _RHO * sim[-1]
+        best, worst = sim[0], sim[-1]
+        # all(... <= tol), like np.max(...) <= tol, is False if any term is nan
+        if (all(abs(fsim[0] - fv) <= _FATOL for fv in fsim[1:])
+                and all(abs(a - b) <= xatol for v in sim[1:] for a, b in zip(v, best))):
+            return best, fsim[0], True
+        xbar = [reduce(add, col) / n for col in zip(*sim[:-1])]
+        xr = [(1 + _RHO) * a - _RHO * b for a, b in zip(xbar, worst)]
         fxr = f(xr)
         if fxr < fsim[0]:
-            xe = (1 + _RHO * _CHI) * xbar - _RHO * _CHI * sim[-1]
+            xe = [(1 + _RHO * _CHI) * a - _RHO * _CHI * b for a, b in zip(xbar, worst)]
             fxe = f(xe)
             if fxe < fxr:
                 sim[-1], fsim[-1] = xe, fxe
@@ -184,22 +193,22 @@ def _nelder_mead(f, x0: np.ndarray, f0: float, xatol: float) -> Tuple[np.ndarray
             sim[-1], fsim[-1] = xr, fxr
         else:
             if fxr < fsim[-1]:  # outside contraction
-                xc = (1 + _PSI * _RHO) * xbar - _PSI * _RHO * sim[-1]
+                xc = [(1 + _PSI * _RHO) * a - _PSI * _RHO * b for a, b in zip(xbar, worst)]
                 fxc = f(xc)
                 accept = fxc <= fxr
             else:  # inside contraction
-                xc = (1 - _PSI) * xbar + _PSI * sim[-1]
+                xc = [(1 - _PSI) * a + _PSI * b for a, b in zip(xbar, worst)]
                 fxc = f(xc)
                 accept = fxc < fsim[-1]
             if accept:
                 sim[-1], fsim[-1] = xc, fxc
             else:
                 for j in range(1, n + 1):
-                    sim[j] = sim[0] + _SIGMA * (sim[j] - sim[0])
+                    sim[j] = [b + _SIGMA * (a - b) for a, b in zip(sim[j], best)]
                     fsim[j] = f(sim[j])
         iterations += 1
-        order = np.argsort(fsim)
-        sim, fsim = sim[order], fsim[order]
+        order = np.array(fsim).argsort().tolist()
+        sim, fsim = [sim[i] for i in order], [fsim[i] for i in order]
     return sim[0], fsim[0], False
 
 
@@ -240,7 +249,7 @@ def optimize(
     best_roots: Optional[Tuple[float, ...]] = None
     trace: List[Tuple[int, float]] = []
     capped = 0
-    for idx, x0 in enumerate(points):
+    for idx, x0 in enumerate(points.tolist()):
         f0 = objective(x0)
         if f0 >= _PENALTY:
             continue

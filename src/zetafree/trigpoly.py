@@ -9,16 +9,13 @@ import math
 from dataclasses import dataclass
 from typing import Sequence, Tuple, Union
 
-import mpmath as mp
 import numpy as np
 
 from .errors import DegreeOverflowError
 
 MAX_DEGREE = 32
-# verify_nonneg: grid points on [0, pi], and the width to which each
-# candidate minimum is refined
+# verify_nonneg: grid points on [0, pi] that pick the candidate minima
 GRID_POINTS = 200_001
-REFINE_WIDTH = 1e-12
 # eval_poly: where |sin theta| < min((d + 1)/_HALF_ANGLE_BELOW, sqrt(3)/2),
 # cos(theta) -/+ 1 is taken from the half angle, which keeps the error from
 # the rounding of cos(theta) near 2e-15 * sum |b_j| elsewhere
@@ -244,42 +241,75 @@ def expand_product(form: ProductForm) -> CosinePolynomial:
     return CosinePolynomial(b)
 
 
-def _golden_min_mp(coeffs, a, b):
-    """Golden-section refinement in extended precision.
+def _dyadic(b: Sequence[float]) -> Tuple[list, int]:
+    """Integers B_j and a shift s with b_j = B_j / 2**s exactly.
 
-    Double precision cannot localize a high-order zero-touching minimum
-    (round-off ~1e-16 smears the argmin over ~1e-4 for a quartic touch),
-    so the local refinement evaluates the cosine sum at 60 digits.
+    Every float is a dyadic rational, so one power of two clears all the
+    denominators.
     """
-    with mp.workdps(60):
-        cs = [mp.mpf(c) for c in coeffs]
-        f = lambda t: mp.fsum(cj * mp.cos(j * t) for j, cj in enumerate(cs))
-        invphi = (mp.sqrt(5) - 1) / 2
-        a, b = mp.mpf(a), mp.mpf(b)
-        c = b - invphi * (b - a)
-        d = a + invphi * (b - a)
-        fc, fd = f(c), f(d)
-        while (b - a) > REFINE_WIDTH:
-            if fc < fd:
-                b, d, fd = d, c, fc
-                c = b - invphi * (b - a)
-                fc = f(c)
-            else:
-                a, c, fc = c, d, fd
-                d = a + invphi * (b - a)
-                fd = f(d)
-        x = (a + b) / 2
-        return float(x), float(f(x))
+    ratios = [x.as_integer_ratio() for x in b]
+    s = max(den.bit_length() - 1 for _, den in ratios)
+    return [num << (s - den.bit_length() + 1) for num, den in ratios], s
+
+
+def _exact_value(dyadic: Tuple[list, int], c: float) -> float:
+    """sum b_j T_j(c) exactly, rounded once to the nearest float.
+
+    Clenshaw's recurrence (see _clenshaw) on the integers
+    Y_j = y_j * 2**(s + k(d - j)), where b = B / 2**s from _dyadic and
+    c = n / 2**k: Y_j = B_j 2**(k(d-j)) + 2n Y_{j+1} - 2**(2k) Y_{j+2}.
+    The sum is an exact rational, and int / int rounds it correctly.
+    """
+    B, s = dyadic
+    n, den = c.as_integer_ratio()
+    k = den.bit_length() - 1
+    d = len(B) - 1
+    y1 = y2 = 0
+    for j in range(d, 0, -1):
+        y1, y2 = (B[j] << (k * (d - j))) + 2 * n * y1 - (y2 << (2 * k)), y1
+    return ((B[0] << (k * d)) + n * y1 - (y2 << (2 * k))) / (1 << (s + k * d))
+
+
+def _derivative(a: Sequence[float], c: float) -> float:
+    """sum_k a_k U_k(c) by Clenshaw's recurrence for Chebyshev polynomials
+    of the second kind; with a_k = (k + 1) b_{k+1} this is P'(c) for
+    P(c) = sum b_j T_j(c), since T_j' = j U_{j-1}."""
+    two_c = 2.0 * c
+    y1 = y2 = 0.0
+    for ak in reversed(a):
+        y1, y2 = ak + two_c * y1 - y2, y1
+    return y1
+
+
+def _derivative_root(a: Sequence[float], lo: float, hi: float) -> float:
+    """A point of [lo, hi] where the float P' (see _derivative) goes from
+    negative at lo to positive at hi, by bisection down to adjacent floats."""
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return mid
+        slope = _derivative(a, mid)
+        if slope == 0.0:
+            return mid
+        if slope < 0.0:
+            lo = mid
+        else:
+            hi = mid
 
 
 def verify_nonneg(p: CosinePolynomial, tol: float = 1e-12) -> Union[Certificate, Violation]:
     """Check p >= -tol * sum |b_j| on [0, pi] (evenness covers the rest).
 
     tol is relative: sum |b_j| is the scale of eval_poly's error and of the
-    rounding in expanded coefficients.  Dense grid scan followed by
-    golden-section refinement of every local minimum down to width
-    REFINE_WIDTH.  A flat stretch of the grid counts as one minimum, at its
-    first point.
+    rounding in expanded coefficients.  A dense grid scan picks the
+    candidate minima: every local minimum of the grid values, where a flat
+    stretch counts as one minimum at its first point.  Each candidate is
+    refined in c = cos(theta), where p is P(c) = sum b_j T_j(c), over the
+    c-interval of its two grid neighbours.  The minimum of P there is at
+    an end, or where P' (evaluated in floats) changes sign from - to +,
+    found by bisection.  Each such point is scored by P(c) computed exactly
+    and rounded once, so the reported value has no rounding error beyond
+    that one rounding; theta is acos(c), and c = +-1 at theta = 0 and pi.
     """
     if not (math.isfinite(tol) and tol >= 0):
         raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
@@ -292,13 +322,21 @@ def verify_nonneg(p: CosinePolynomial, tol: float = 1e-12) -> Union[Certificate,
     if vals[-1] <= vals[-2]:
         candidates.append(GRID_POINTS - 1)
 
-    best_x, best_v = 0.0, vals[0]
+    dyadic = _dyadic(p.coeffs)
+    slopes = [j * bj for j, bj in enumerate(p.coeffs)][1:]
+    best_c, best_v = 1.0, _exact_value(dyadic, 1.0)
     for i in candidates:
-        lo = thetas[max(i - 1, 0)]
-        hi = thetas[min(i + 1, GRID_POINTS - 1)]
-        x, v = _golden_min_mp(p.coeffs, lo, hi)
-        if v < best_v:
-            best_x, best_v = x, v
+        # theta increases as c decreases: hi is the end at the smaller theta
+        hi = 1.0 if i <= 1 else math.cos(thetas[i - 1])
+        lo = -1.0 if i >= GRID_POINTS - 2 else math.cos(thetas[i + 1])
+        points = [hi, lo]
+        if _derivative(slopes, lo) < 0.0 < _derivative(slopes, hi):
+            points.insert(1, _derivative_root(slopes, lo, hi))
+        for c in points:
+            v = _exact_value(dyadic, c)
+            if v < best_v:
+                best_c, best_v = c, v
+    best_x = math.acos(best_c)
     if best_v >= -tol * math.fsum(abs(b) for b in p.coeffs):
-        return Certificate(min_value=float(best_v), argmin=float(best_x))
-    return Violation(theta=float(best_x), value=float(best_v))
+        return Certificate(min_value=best_v, argmin=best_x)
+    return Violation(theta=best_x, value=best_v)

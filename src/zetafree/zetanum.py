@@ -18,13 +18,12 @@ are rigorous; identities that hold for every Re > 1 are checked there.
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Dict, Tuple
 
-import mpmath as mp
 import numpy as np
 
 from .errors import CapacityError, DomainError
+from .mollifier import _bernoulli
 from .quadrature import adaptive_quad
 from .trigpoly import Certificate, CosinePolynomial, eval_poly, verify_nonneg
 
@@ -156,7 +155,7 @@ def neg_zeta_logderiv(s: complex, tol: float, max_n: int = DEFAULT_MAX_N) -> Ser
 
 _EM_ORDER = 14
 # B_0..B_{2*_EM_ORDER}, each the float nearest the exact rational
-_BERN = tuple(float(Fraction(*mp.bernfrac(n))) for n in range(2 * _EM_ORDER + 1))
+_BERN = tuple(float(b) for b in _bernoulli(2 * _EM_ORDER))
 _EM_IM_MAX = 1e4
 
 

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -36,6 +37,19 @@ def test_cli_import_does_not_load_scipy():
     loaded = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()]
     assert "zetafree.optimizer" in loaded
     assert [m for m in loaded if m.split(".")[0] == "scipy"] == []
+    assert json.loads(proc.stdout)["result"]["M"] > 0
+
+
+def test_cli_runs_without_mpmath():
+    code = "import sys, zetafree.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'mpmath'))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"
+    argv = ["optimize", "--degree", "3", "--half-angle-factor", "--starts", "8"]
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "zetafree.cli", *argv],
+                          capture_output=True, text=True, check=True)
+    loaded = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()]
+    assert "zetafree.trigpoly" in loaded
+    assert [m for m in loaded if m.split(".")[0] == "mpmath"] == []
     assert json.loads(proc.stdout)["result"]["M"] > 0
 
 
@@ -328,6 +342,16 @@ def test_mollifier_table_makes_no_quadrature_call(monkeypatch, capsys):
 def test_mollifier_table_bad_step(capsys):
     assert main(["mollifier-table", "--b0", "3", "--b1", "4",
                  "--step", "-1"]) == 1
+
+
+@pytest.mark.parametrize("step", ["1e-300", "5e-324"])
+def test_mollifier_table_refuses_a_step_with_too_many_rows(step, capsys):
+    start = time.perf_counter()
+    assert main(["mollifier-table", "--b0", "3", "--b1", "4", "--step", step]) == 1
+    assert time.perf_counter() - start <= 2.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"step {float(step)!r} gives more than {cli.MAX_TABLE_ROWS} rows" in captured.err
 
 
 def test_verify_lemma_pass(capsys):

@@ -281,6 +281,23 @@ def test_nelder_mead_equals_scipy(degree):
     assert compared >= 6
 
 
+def _plateau(x):
+    # exact plateaus, so that values tie and the iterates depend on the tie order
+    return round(math.fsum((v - 0.3) ** 2 for v in x) * 20) / 20
+
+
+@pytest.mark.parametrize("m", [3, 5, 8])
+def test_nelder_mead_tie_order_equals_scipy(m):
+    rng = np.random.default_rng(m)
+    for x0 in rng.uniform(-2.0, 2.0, size=(10, m)).tolist():
+        f0 = _plateau(x0)
+        x, value, converged = _nelder_mead(_plateau, x0, f0, 1e-10)
+        ref_x, ref_value, ref_converged = _scipy_nelder_mead(_plateau, np.array(x0), f0, 1e-10)
+        assert np.array_equal(x, ref_x)
+        assert value == ref_value
+        assert converged == ref_converged
+
+
 @pytest.mark.parametrize("degree,half", [(5, True), (4, False)])
 @pytest.mark.parametrize("seed", [0, 3])
 def test_optimize_equals_scipy_driven_reference(monkeypatch, degree, half, seed):

@@ -1,19 +1,23 @@
 import math
 import time
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial.chebyshev import poly2cheb
 
 from zetafree.errors import DegreeOverflowError
 from zetafree.trigpoly import (
+    GRID_POINTS,
     Certificate,
     CosinePolynomial,
     ProductForm,
     Violation,
+    _dyadic,
+    _exact_value,
     eval_poly,
     expand_product,
     power_to_cosine,
@@ -198,6 +202,124 @@ def test_verify_nonneg_constant_is_quick(coeffs):
 def test_expand_product_coefficients_nonnegative(scale, half, roots):
     form = ProductForm(scale, half, tuple(roots[: 16 - half]))  # degree <= 32
     assert all(b >= 0.0 for b in expand_product(form).coeffs)
+
+
+# ---------------------------------------------------------------------------
+# verify_nonneg against the grid + 60-digit golden-section search it replaced
+# ---------------------------------------------------------------------------
+
+REFINE_WIDTH = 1e-12
+
+
+def _golden_min_mp(coeffs, a, b):
+    """Golden-section refinement in extended precision.
+
+    Double precision cannot localize a high-order zero-touching minimum
+    (round-off ~1e-16 smears the argmin over ~1e-4 for a quartic touch),
+    so the local refinement evaluates the cosine sum at 60 digits.
+    """
+    with mp.workdps(60):
+        cs = [mp.mpf(c) for c in coeffs]
+        f = lambda t: mp.fsum(cj * mp.cos(j * t) for j, cj in enumerate(cs))
+        invphi = (mp.sqrt(5) - 1) / 2
+        a, b = mp.mpf(a), mp.mpf(b)
+        c = b - invphi * (b - a)
+        d = a + invphi * (b - a)
+        fc, fd = f(c), f(d)
+        while (b - a) > REFINE_WIDTH:
+            if fc < fd:
+                b, d, fd = d, c, fc
+                c = b - invphi * (b - a)
+                fc = f(c)
+            else:
+                a, c, fc = c, d, fd
+                d = a + invphi * (b - a)
+                fd = f(d)
+        x = (a + b) / 2
+        return float(x), float(f(x))
+
+
+def _grid_candidates(p):
+    """The grid of verify_nonneg and the indices of its candidate minima."""
+    thetas = np.linspace(0.0, np.pi, GRID_POINTS)
+    vals = eval_poly(p, thetas)
+    interior = (vals[1:-1] < vals[:-2]) & (vals[1:-1] <= vals[2:])
+    candidates = list(np.nonzero(interior)[0] + 1)
+    if vals[0] <= vals[1]:
+        candidates.append(0)
+    if vals[-1] <= vals[-2]:
+        candidates.append(GRID_POINTS - 1)
+    return thetas, vals, candidates
+
+
+def _golden_min(p, thetas, vals, candidates):
+    """(theta, value) of the minimum with each candidate refined by
+    golden-section search in theta, as verify_nonneg once did."""
+    best_x, best_v = 0.0, float(vals[0])
+    for i in candidates:
+        x, v = _golden_min_mp(p.coeffs, thetas[max(i - 1, 0)], thetas[min(i + 1, GRID_POINTS - 1)])
+        if v < best_v:
+            best_x, best_v = x, v
+    return best_x, best_v
+
+
+@st.composite
+def _shifted_products(draw):
+    """An expanded product form of degree <= 12 with b_0 lowered by
+    delta * sum |b_j|, which moves its zeros below 0 when delta > 0."""
+    half = draw(st.booleans())
+    roots = draw(st.lists(st.floats(0.05, 2.5), min_size=1, max_size=6 - half))
+    b = expand_product(ProductForm(draw(st.floats(0.1, 10.0)), half, tuple(roots))).coeffs
+    delta = draw(st.sampled_from([0.0, 1e-15, 1e-13, 1e-11, 1e-8, 1e-4]))
+    return (b[0] - delta * math.fsum(map(abs, b)),) + b[1:]
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.one_of(
+    st.lists(st.floats(-10.0, 10.0, allow_subnormal=False), min_size=2, max_size=13),
+    _shifted_products(),
+))
+@example([3.0, 4.0, 1.0])
+@example([1.0, 1.9])
+@example(list(D5_COEFFS))
+@example([2.5, 0.0, 0.0, 0.0])
+def test_verify_nonneg_matches_grid_golden_oracle(coeffs):
+    p = CosinePolynomial(tuple(coeffs))
+    scale = math.fsum(abs(b) for b in coeffs)
+    tol = 1e-12
+    thetas, vals, candidates = _grid_candidates(p)
+    # repeated roots make flat stretches with thousands of noise-level
+    # candidates, at about 7 ms each for the 60-digit oracle
+    assume(len(candidates) <= 64)
+    _, oracle_v = _golden_min(p, thetas, vals, candidates)
+    # the two refinements agree to rounding, which can flip a verdict only
+    # at the threshold itself
+    assume(abs(oracle_v + tol * scale) > 1e-14 * scale)
+    res = verify_nonneg(p, tol=tol)
+    assert isinstance(res, Certificate) == (oracle_v >= -tol * scale)
+    value = res.min_value if isinstance(res, Certificate) else res.value
+    assert abs(value - oracle_v) <= 1e-14 * scale
+    if isinstance(res, Violation):
+        with mp.workdps(50):
+            t = mp.mpf(res.theta)
+            exact = mp.fsum(mp.mpf(b) * mp.cos(j * t) for j, b in enumerate(coeffs))
+        assert abs(res.value - exact) <= 1e-15 * scale
+
+
+def _clenshaw_fraction(coeffs, c):
+    c = Fraction(c)
+    y1 = y2 = Fraction(0)
+    for b in reversed(coeffs[1:]):
+        y1, y2 = Fraction(b) + 2 * c * y1 - y2, y1
+    return Fraction(coeffs[0]) + c * y1 - y2
+
+
+@given(
+    st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=33),
+    st.one_of(st.floats(-1.0, 1.0), st.sampled_from([-1.0, 0.0, 1.0, 1e-300, -0.5])),
+)
+def test_exact_value_is_the_rounded_rational_sum(coeffs, c):
+    assert _exact_value(_dyadic(coeffs), c) == float(_clenshaw_fraction(coeffs, c))
 
 
 @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0])

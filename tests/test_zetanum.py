@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from zetafree.errors import CapacityError, DomainError
+from zetafree.mollifier import _bernoulli
 from zetafree.trigpoly import CosinePolynomial
 from zetafree.zetanum import (
     _BERN,
@@ -114,17 +115,13 @@ def test_tail_bound_is_genuine():
 # Euler-Maclaurin zeta
 # ---------------------------------------------------------------------------
 
-def _bernoulli_exact(n):
-    # B_n from sum_{k<=n} C(n+1, k) B_k = 0 for n >= 1, with B_0 = 1
-    b = [Fraction(1)]
-    for m in range(1, n + 1):
-        b.append(-sum(math.comb(m + 1, k) * b[k] for k in range(m)) / (m + 1))
-    return b[n]
+def test_bernoulli_numbers_equal_mpmath():
+    assert _bernoulli(32) == [Fraction(*mp.bernfrac(n)) for n in range(33)]
 
 
 def test_bernoulli_numbers_correctly_rounded():
     for j in range(1, _EM_ORDER + 1):
-        assert _BERN[2 * j] == float(_bernoulli_exact(2 * j)), 2 * j
+        assert _BERN[2 * j] == float(Fraction(*mp.bernfrac(2 * j))), 2 * j
 
 
 def test_zeta_two():
