@@ -375,11 +375,14 @@ def _run_mollifier_table(config: RunConfig):
             f"step {step!r} gives more than {MAX_TABLE_ROWS} rows over the "
             f"support [0, {support:.6g}]"
         )
-    rows = []
+    grid = []
     u = 0.0
     while u <= support + step / 2:
-        rows.append((u, g_eval(shape.theta, u), w_eval(shape.theta, u), shape.f_eval(u)))
+        grid.append(u)
         u += step
+    points = np.array(grid)
+    columns = (g_eval(shape.theta, points), w_eval(shape.theta, points), shape.f_eval(points))
+    rows = list(zip(grid, *(c.tolist() for c in columns)))
     if config.output_format == "json":
         result = {"theta": shape.theta, "lam": lam,
                   "rows": [list(r) for r in rows]}

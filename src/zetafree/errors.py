@@ -27,3 +27,7 @@ class CapacityError(ZetafreeError):
 
 class NoFeasiblePointError(ZetafreeError):
     """Every optimization start was rejected by the feasibility checks."""
+
+
+class QuadratureError(ZetafreeError):
+    """Adaptive quadrature reached its panel cap short of the requested tolerance."""

@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import RatioOutOfRangeError
-from .quadrature import adaptive_quad
+from .quadrature import _require_tol, adaptive_quad
 
 RATIO_WINDOW = (1.0, 3.0)
 
@@ -226,10 +226,13 @@ def w_eval(theta: float, u):
     m = k * np.maximum(g_support(theta) - 0.5 * u_arr, 0.0)
     x = m * m
     cos_diff = 2.0 * np.sin(theta - 0.5 * m) * np.sin(0.5 * m)
-    one_minus = 2.0 * np.sin(0.5 * theta) ** 2 + 2.0 * c * np.sin(0.5 * (theta - m)) ** 2
+    half = np.sin(0.5 * (theta - m))
+    # products, not ** 2: numpy squares a scalar through pow, which can differ
+    # from an array's exact square in the last bit
+    one_minus = 2.0 * np.sin(0.5 * theta) ** 2 + 2.0 * c * (half * half)
     m_minus_sin = m * x * _horner(_M_MINUS_SIN, x)[0]
     tail = m * x * x * _horner(_W_TAIL, x)[0]
-    vals = (2.0 * m * cos_diff**2 - 4.0 * one_minus * m_minus_sin + tail) / (k * c**4)
+    vals = (2.0 * m * (cos_diff * cos_diff) - 4.0 * one_minus * m_minus_sin + tail) / (k * c**4)
     return float(vals) if np.isscalar(u) else vals
 
 
@@ -269,11 +272,15 @@ def negWprime0_closed(theta: float) -> float:
 
 
 def W_eval(theta: float, s, tol: float = 1e-11) -> complex:
-    """Laplace transform of w: integral of w(u)*exp(-s*u) over the support."""
+    """Laplace transform of w: integral of w(u)*exp(-s*u) over the support.
+
+    Raises QuadratureError if the quadrature's error estimate stays above tol.
+    """
     sup = 2.0 * g_support(theta)
     s = complex(s)
 
-    val, _ = adaptive_quad(lambda u: w_eval(theta, u) * np.exp(-s * u), 0.0, sup, tol=tol)
+    val, err = adaptive_quad(lambda u: w_eval(theta, u) * np.exp(-s * u), 0.0, sup, tol=tol)
+    _require_tol(err, tol)
     return complex(val)
 
 
@@ -326,16 +333,17 @@ class MollifierShape:
             raise ValueError("lam is not set on this shape")
         return self.lam * self.w0
 
-    def f_eval(self, u: float) -> float:
-        """f(u) = lam * exp(lam*u) * w(lam*u) for u >= 0."""
+    def f_eval(self, u):
+        """f(u) = lam * exp(lam*u) * w(lam*u) for u >= 0; zero from
+        lam*u = w_support on, where w_eval is exactly zero."""
         if self.lam is None:
             raise ValueError("lam is not set on this shape")
-        if u < 0:
+        u_arr = np.asarray(u, dtype=float)
+        if np.any(u_arr < 0):
             raise ValueError("u must be >= 0")
-        lu = self.lam * u
-        if lu >= self.w_support:
-            return 0.0
-        return self.lam * np.exp(lu) * w_eval(self.theta, lu)
+        lu = np.minimum(self.lam * u_arr, self.w_support)
+        vals = self.lam * np.exp(lu) * w_eval(self.theta, lu)
+        return float(vals) if np.isscalar(u) else vals
 
 
 def F_eval(shape: MollifierShape, z) -> complex:

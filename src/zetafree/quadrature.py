@@ -3,13 +3,17 @@
 Panels are scored by the difference between 15-point and 7-point Gauss
 rules; the worst panel is split until the summed estimate meets the
 target.  Integrands must accept numpy arrays and may return complex
-values.
+values.  adaptive_quad stops at MAX_PANELS panels whether or not it met
+its target; callers that need the target check the returned estimate
+with _require_tol.
 """
 
 import heapq
 import itertools
 
 import numpy as np
+
+from .errors import QuadratureError
 
 _X7, _W7 = np.polynomial.legendre.leggauss(7)
 _X15, _W15 = np.polynomial.legendre.leggauss(15)
@@ -44,3 +48,12 @@ def adaptive_quad(f, a, b, tol=1e-11):
             total_err += qe
     value = sum(item[4] for item in heap)
     return value, total_err
+
+
+def _require_tol(err, tol):
+    """Raise QuadratureError if an adaptive_quad estimate err missed its tol."""
+    if err > tol:
+        raise QuadratureError(
+            f"quadrature stopped at the {MAX_PANELS}-panel cap with error estimate "
+            f"{err:.3g} above the requested tol {tol:.3g}"
+        )

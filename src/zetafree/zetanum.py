@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import CapacityError, DomainError
 from .mollifier import _bernoulli
-from .quadrature import adaptive_quad
+from .quadrature import _require_tol, adaptive_quad
 from .trigpoly import Certificate, CosinePolynomial, eval_poly, verify_nonneg
 
 DEFAULT_MAX_N = 10**8
@@ -230,9 +230,11 @@ def _k_sum(z: complex, eta: float, tol: float, max_n: int) -> Tuple[float, float
     Per-term tolerances are allocated geometrically (ratio 2^(-2*eta))
     because the leading term dominates the cost; each term's truncation
     is capped at max_n and the achieved tail bounds are summed into the
-    reported error.
+    reported error.  Every term has the same ordinate t = Im z, so term k
+    is sum_{n <= N_k} c(n) n^(-sigma_k) over one shared real array
+    c = Lambda(n) cos(t log n), computed once up to the largest N_k.
     """
-    sigma = z.real
+    sigma, t = z.real, z.imag
     r = 2.0 ** (-2.0 * eta)
     r = min(r, 0.98)
     # K: cut when the geometric majorant of the remaining terms is below tol/2
@@ -247,13 +249,16 @@ def _k_sum(z: complex, eta: float, tol: float, max_n: int) -> Tuple[float, float
         if K > 100000:
             raise ArithmeticError("failed to truncate the k sum")
 
+    sig = [sigma + 2.0 * k * eta for k in range(1, K + 1)]
+    Ns = [min(_n_for_tail(sig_k, (tol / 2.0) * (1.0 - r) * r ** (k - 1)), max_n)
+          for k, sig_k in enumerate(sig, start=1)]
+    n, lam, log_n = _CACHE.upto(max(Ns))
+    c = lam if t == 0 else lam * np.cos(t * log_n)
     total = 0.0
     err = ktail
-    for k in range(1, K + 1):
-        sig_k = sigma + 2.0 * k * eta
-        tol_k = (tol / 2.0) * (1.0 - r) * r ** (k - 1)
-        N_k = min(_n_for_tail(sig_k, tol_k), max_n)
-        total += (_lambda_sum(z + 2.0 * k * eta, N_k)).real
+    for sig_k, N_k in zip(sig, Ns):
+        i = np.searchsorted(n, N_k, side="right")
+        total += float(np.sum(c[:i] * np.exp(-sig_k * log_n[:i])))
         err += tail_bound(N_k, sig_k)
     return total, err, K
 
@@ -275,7 +280,8 @@ def lemma_rhs(z: complex, eta: float, tol: float) -> Tuple[float, float]:
 
     The integrand is log|zeta| on the line Re = Re(z) + eta weighted by
     cosh^-2; |log|zeta(s)|| <= log zeta(Re s) bounds the truncated wings
-    via int_{|u|>U} cosh^-2 = 2(1 - tanh U) <= 4 e^{-2U}.
+    via int_{|u|>U} cosh^-2 = 2(1 - tanh U) <= 4 e^{-2U}.  Raises
+    QuadratureError if the quadrature's error estimate stays above eta*tol.
     """
     z = complex(z)
     if z.real < DESK_RE_MIN:
@@ -298,6 +304,7 @@ def lemma_rhs(z: complex, eta: float, tol: float) -> Tuple[float, float]:
         return out
 
     val, quad_err = adaptive_quad(integrand, -U, U, tol=eta * tol)
+    _require_tol(quad_err, eta * tol)
     return val / (4.0 * eta), quad_err / (4.0 * eta) + trunc
 
 
@@ -364,6 +371,11 @@ def midpoint_bound_check(
 # Dual-route cosine-weighted sum
 # ---------------------------------------------------------------------------
 
+# applied_trig_sum evaluates p at this many points per eval_poly call, which
+# bounds the size of eval_poly's temporaries
+_EVAL_BLOCK = 1 << 16
+
+
 def applied_trig_sum(
     p: CosinePolynomial,
     x: float,
@@ -373,10 +385,12 @@ def applied_trig_sum(
 ) -> VerificationReport:
     """Dual evaluation of sum_j -b_j Re zeta'/zeta(x + ijy).
 
-    The Dirichlet route sums the series at each shifted point; the sieve
-    route evaluates sum_n Lambda(n) n^{-x} p(y log n) directly.  Both use
-    the same truncation N, so they agree up to rounding, and the sieve
-    route is a sum of nonnegative terms whenever p is nonnegative.
+    Both routes share the real weights Lambda(n) n^{-x} over one
+    truncation N, so they agree up to rounding.  The Dirichlet route sums
+    the series at each shifted point, sum_n weights * cos(j y log n) for
+    term j (no cosine at j = 0 or y = 0); the sieve route evaluates
+    sum_n weights * p(y log n) directly, a sum of nonnegative terms
+    whenever p is nonnegative, with p evaluated in blocks of points.
     """
     if x < DESK_RE_MIN:
         raise DomainError(f"x = {x} below the desk-scale window {DESK_RE_MIN}")
@@ -386,13 +400,17 @@ def applied_trig_sum(
         raise ValueError("p must pass the nonnegativity check")
     N = min(_n_for_tail(x, tol), max_n)
     b = p.coeffs
-    # -zeta'/zeta(x+ijy) is the Lambda series itself, so each term enters with +b_j
-    lhs = sum(
-        bj * _lambda_sum(complex(x, j * y), N).real for j, bj in enumerate(b)
-    )
     _, lam, log_n = _CACHE.upto(N)
     weights = lam * np.exp(-x * log_n)
-    rhs = float(np.sum(weights * eval_poly(p, y * log_n)))
+    # -zeta'/zeta(x+ijy) is the Lambda series itself, so each term enters with +b_j
+    lhs = sum(
+        bj * float(np.sum(weights if j == 0 or y == 0 else weights * np.cos(j * y * log_n)))
+        for j, bj in enumerate(b)
+    )
+    vals = np.empty_like(weights)
+    for a in range(0, len(vals), _EVAL_BLOCK):
+        vals[a : a + _EVAL_BLOCK] = eval_poly(p, y * log_n[a : a + _EVAL_BLOCK])
+    rhs = float(np.sum(weights * vals))
     # the shared tail is bounded coefficient-by-coefficient
     bound = sum(abs(bj) for bj in b) * tail_bound(N, x)
     diff = abs(lhs - rhs)

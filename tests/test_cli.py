@@ -3,9 +3,11 @@ import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
 
 import zetafree.cli as cli
+from zetafree.mollifier import MollifierShape, g_eval, w_eval
 from zetafree.cli import dumps_canonical, main, parse_config
 from zetafree.zetanum import VerificationReport
 
@@ -337,6 +339,26 @@ def test_mollifier_table_makes_no_quadrature_call(monkeypatch, capsys):
     assert main(argv) == 0
     assert calls == {"adaptive_quad": 0}
     assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize("lam", ("0.5", "0.7", "1.0", "2.5"))
+def test_mollifier_table_matches_row_by_row_evaluation(lam, capsys):
+    step = 1e-4
+    assert main(["mollifier-table", "--b0", "3", "--b1", "4", "--lam", lam,
+                 "--step", repr(step)]) == 0
+    got = np.array(json.loads(capsys.readouterr().out)["result"]["rows"])
+    shape = MollifierShape.from_coeffs(3.0, 4.0, lam=float(lam))
+    rows = []
+    u = 0.0
+    while u <= shape.w_support + step / 2:
+        lu = shape.lam * u
+        f = shape.lam * np.exp(lu) * w_eval(shape.theta, lu) if lu < shape.w_support else 0.0
+        rows.append((u, g_eval(shape.theta, u), w_eval(shape.theta, u), f))
+        u += step
+    want = np.array(rows)
+    assert got.shape == want.shape
+    assert np.array_equal(got[:, 0], want[:, 0])
+    assert (np.abs(got - want) <= 4e-16 * np.abs(want)).all()
 
 
 def test_mollifier_table_bad_step(capsys):

@@ -8,7 +8,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from zetafree.errors import RatioOutOfRangeError
+from zetafree.errors import QuadratureError, RatioOutOfRangeError
 from zetafree.mollifier import (
     F0_closed,
     F0_eval,
@@ -296,6 +296,11 @@ def test_W_real_for_real_argument():
     assert abs(W_eval(0.9, 0.7).imag) <= 1e-14
 
 
+def test_W_raises_when_quadrature_misses_tol():
+    with pytest.raises(QuadratureError, match=r"error estimate .* above the requested tol 1e-300"):
+        W_eval(1.0, -1.0, tol=1e-300)
+
+
 def test_shape_derived_fields():
     sh = MollifierShape.from_coeffs(3.0, 4.0)
     assert sh.g_support == pytest.approx(g_support(sh.theta))
@@ -312,6 +317,18 @@ def test_hand_built_shape_matches_from_coeffs():
     assert sh.w0 == ref.w0
     assert sh.f0 == ref.f0 == pytest.approx(112.69005237, rel=1e-9)
     assert sh.f_eval(0.3) == ref.f_eval(0.3) == pytest.approx(41.292002, rel=1e-6)
+
+
+def test_f_array_equals_scalar_calls():
+    sh = MollifierShape.from_coeffs(3.0, 4.0, lam=0.7)
+    u = np.linspace(0.0, 1.5 * sh.w_support / sh.lam, 41)
+    vals = sh.f_eval(u)
+    assert isinstance(vals, np.ndarray) and vals.shape == u.shape
+    assert vals.tolist() == [sh.f_eval(float(x)) for x in u]
+    assert (vals[sh.lam * u < sh.w_support] > 0.0).all()
+    assert (vals[sh.lam * u >= sh.w_support] == 0.0).all()
+    with pytest.raises(ValueError):
+        sh.f_eval(np.array([0.1, -0.1]))
 
 
 def test_shape_stores_only_theta_coeffs_and_lam():

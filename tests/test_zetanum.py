@@ -1,17 +1,25 @@
 import math
 from fractions import Fraction
+from unittest import mock
 
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from zetafree.errors import CapacityError, DomainError
+from zetafree import quadrature, zetanum
+from zetafree.errors import CapacityError, DomainError, QuadratureError
 from zetafree.mollifier import _bernoulli
-from zetafree.trigpoly import CosinePolynomial
+from zetafree.trigpoly import CosinePolynomial, ProductForm, expand_product
 from zetafree.zetanum import (
     _BERN,
     _CACHE,
     _EM_ORDER,
+    _KTAIL_C,
+    _k_sum,
+    _lambda_sum,
+    _n_for_tail,
     applied_trig_sum,
     lemma_check,
     lemma_lhs,
@@ -23,6 +31,8 @@ from zetafree.zetanum import (
 )
 
 MAXN = 10**7
+D5 = expand_product(ProductForm(1.0, True, (0.8652559, 0.1974476)))
+D9 = expand_product(ProductForm(1.0, True, (0.15, 0.45, 0.8, 1.2)))
 
 
 # ---------------------------------------------------------------------------
@@ -181,6 +191,12 @@ def test_lemma_rhs_real_point_sign():
     assert val > err  # log zeta > 0 dominates on the line Re = 3.5
 
 
+def test_lemma_rhs_raises_when_quadrature_misses_tol(monkeypatch):
+    monkeypatch.setattr(quadrature, "MAX_PANELS", 2)
+    with pytest.raises(QuadratureError, match=r"2-panel cap .* above the requested tol 2.5e-07"):
+        lemma_rhs(1.5 + 10j, 0.25, 1e-6)
+
+
 def test_lemma_rhs_constant_weight_mass():
     # int cosh^-2 = 2, so a constant integrand c integrates to c/(2*eta)
     from zetafree.quadrature import adaptive_quad
@@ -236,15 +252,88 @@ def test_applied_trig_effectively_constant():
     assert report.rhs > 0
 
 
-def test_applied_trig_random_agreement():
+def _check_random_agreement(p):
     rng = np.random.default_rng(12)
-    p = CosinePolynomial((3.0, 4.0, 1.0))
     for _ in range(20):
         x = rng.uniform(1.25, 3.0)
         y = rng.uniform(0.0, 50.0)
         report = applied_trig_sum(p, x, y, tol=1e-3, max_n=MAXN)
         assert report.passed
         assert report.abs_diff <= 1e-9 * max(1.0, abs(report.lhs))  # same truncation: rounding only
+
+
+def test_applied_trig_random_agreement():
+    _check_random_agreement(CosinePolynomial((3.0, 4.0, 1.0)))
+
+
+@pytest.mark.parametrize("p", [D5, D9], ids=["d5_optimum", "d9_product"])
+def test_applied_trig_random_agreement_higher_degree(p):
+    assert len(p.coeffs) - 1 in (5, 9)
+    _check_random_agreement(p)
+
+
+# ---------------------------------------------------------------------------
+# real-arithmetic kernels against the complex Lambda series
+# ---------------------------------------------------------------------------
+
+def _k_sum_complex(z, eta, tol, max_n):
+    """The k-sum as one complex Lambda series per term, as _k_sum once computed
+    it: (terms, N_k, error bound, K, sum of Lambda(n) n^-sigma_k over the terms)."""
+    sigma = z.real
+    r = min(2.0 ** (-2.0 * eta), 0.98)
+    K = 1
+    while True:
+        sig_next = sigma + 2.0 * (K + 1) * eta
+        if sig_next >= 2.5:
+            ktail = _KTAIL_C * 2.0 ** (-sig_next) / (1.0 - 2.0 ** (-2.0 * eta))
+            if ktail <= tol / 2.0:
+                break
+        K += 1
+    terms, Ns, err, scale = [], [], ktail, 0.0
+    for k in range(1, K + 1):
+        sig_k = sigma + 2.0 * k * eta
+        N_k = min(_n_for_tail(sig_k, (tol / 2.0) * (1.0 - r) * r ** (k - 1)), max_n)
+        terms.append(_lambda_sum(z + 2.0 * k * eta, N_k).real)
+        Ns.append(N_k)
+        scale += _lambda_sum(sig_k, N_k).real
+        err += tail_bound(N_k, sig_k)
+    return terms, Ns, err, K, scale
+
+
+_SIGMA = st.floats(1.25, 3.0)
+_T = st.floats(0.0, 60.0)
+_N = st.integers(2, 10**6)
+_TOL = st.sampled_from([1e-3, 1e-6, 1e-10])
+
+
+@settings(max_examples=40, deadline=None)
+@given(_SIGMA, _T, _N, st.floats(0.05, 0.5), _TOL)
+@example(1.25, 0.0, 10**6, 0.1, 1e-10)
+@example(1.3, 14.13, 10**6, 0.05, 1e-3)
+def test_k_sum_matches_complex_series(sigma, t, N, eta, tol):
+    z = complex(sigma, t)
+    terms, Ns, err, K, scale = _k_sum_complex(z, eta, tol, N)
+    with mock.patch.object(zetanum, "_n_for_tail", wraps=_n_for_tail) as spy:
+        total, got_err, got_K = _k_sum(z, eta, tol, N)
+    assert got_K == K
+    assert [min(_n_for_tail(*c.args), N) for c in spy.call_args_list] == Ns
+    assert got_err == err
+    assert abs(total - math.fsum(terms)) <= 1e-13 * scale
+
+
+@settings(max_examples=40, deadline=None)
+@given(_SIGMA, _T, _N, _TOL, st.sampled_from([CosinePolynomial((3.0, 4.0, 1.0)), D5, D9]))
+@example(2.0, 0.0, 10**6, 1e-10, D9)
+def test_dirichlet_route_matches_complex_series(x, y, N, tol, p):
+    report = applied_trig_sum(p, x, y, tol=tol, max_n=N)
+    N_used = min(_n_for_tail(x, tol), N)
+    b = p.coeffs
+    oracle = math.fsum(bj * _lambda_sum(complex(x, j * y), N_used).real for j, bj in enumerate(b))
+    scale = sum(abs(bj) for bj in b) * _lambda_sum(x, N_used).real
+    assert report.params["N"] == N_used
+    assert report.lhs_error_bound == report.rhs_error_bound == (
+        sum(abs(bj) for bj in b) * tail_bound(N_used, x))
+    assert abs(report.lhs - oracle) <= 1e-13 * scale
 
 
 # ---------------------------------------------------------------------------
