@@ -15,7 +15,6 @@ import csv
 import io
 import json
 import math
-import re
 import sys
 
 import numpy as np
@@ -64,27 +63,50 @@ class RunConfig:
 # Canonical serialization
 # ---------------------------------------------------------------------------
 
-_FLOAT_MARK = "<~float~>"
-
-
-def _mark_floats(obj):
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
+def _emit_canonical(obj, indent: str, out: List[str]) -> None:
+    """Append obj's canonical JSON to out; indent is the current line's."""
     if isinstance(obj, (float, np.floating)):
-        return f"{_FLOAT_MARK}{float(obj):.17g}{_FLOAT_MARK}"
-    if isinstance(obj, dict):
-        return {k: _mark_floats(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_mark_floats(v) for v in obj]
-    return obj
+        out.append(f"{float(obj):.17g}")
+    elif isinstance(obj, str):
+        out.append(json.dumps(obj))
+    elif isinstance(obj, (bool, np.bool_)):
+        out.append("true" if obj else "false")
+    elif isinstance(obj, (int, np.integer)):
+        out.append(str(int(obj)))
+    elif obj is None:
+        out.append("null")
+    elif isinstance(obj, (dict, list, tuple)):
+        is_dict = isinstance(obj, dict)
+        brackets = "{}" if is_dict else "[]"
+        if not obj:
+            out.append(brackets)
+            return
+        inner = indent + "  "
+        sep = brackets[0] + "\n" + inner
+        for item in sorted(obj) if is_dict else obj:
+            out.append(sep)
+            if is_dict:
+                if not isinstance(item, str):
+                    raise TypeError(f"keys must be str, not {type(item).__name__}")
+                out.append(json.dumps(item) + ": ")
+                item = obj[item]
+            _emit_canonical(item, inner, out)
+            sep = ",\n" + inner
+        out.append("\n" + indent + brackets[1])
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def dumps_canonical(obj) -> str:
-    """JSON with sorted keys and floats at fixed 17 significant digits."""
-    text = json.dumps(_mark_floats(obj), sort_keys=True, indent=2)
-    return re.sub(f'"{re.escape(_FLOAT_MARK)}([^"]*){re.escape(_FLOAT_MARK)}"', r"\1", text)
+    """JSON with sorted keys and floats at fixed 17 significant digits.
+
+    The layout is json.dumps(obj, sort_keys=True, indent=2) with every float
+    written as format(x, ".17g"); numpy scalars count as the Python types
+    they stand for.  Keys must be strings.
+    """
+    out: List[str] = []
+    _emit_canonical(obj, "", out)
+    return "".join(out)
 
 
 def _rows_to_csv(header: Sequence[str], rows: Sequence[Sequence[object]]) -> str:

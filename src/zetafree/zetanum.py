@@ -37,12 +37,33 @@ DESK_RE_MIN = 1.25
 # ---------------------------------------------------------------------------
 
 def _sieve_primes(limit: int) -> np.ndarray:
-    is_prime = np.ones(limit + 1, dtype=bool)
-    is_prime[:2] = False
-    for p in range(2, int(limit**0.5) + 1):
-        if is_prime[p]:
-            is_prime[p * p :: p] = False
-    return np.nonzero(is_prime)[0]
+    """Primes <= limit, ascending; the sieve holds the odd numbers only."""
+    if limit < 2:
+        return np.empty(0, dtype=np.int64)
+    # is_prime[i] tells whether 2i + 1 is prime
+    is_prime = np.ones((limit + 1) // 2, dtype=bool)
+    is_prime[0] = False
+    for i in range(1, (math.isqrt(limit) + 1) // 2):
+        if is_prime[i]:
+            p = 2 * i + 1
+            is_prime[p * p // 2 :: p] = False
+    return np.concatenate(([2], 2 * np.nonzero(is_prime)[0] + 1))
+
+
+def _higher_powers(primes: np.ndarray, limit: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The prime powers p^k <= limit with k >= 2, ascending, and log p for each."""
+    powers, log_bases = [np.empty(0, dtype=np.int64)], [np.empty(0)]
+    k = 2
+    while 2**k <= limit:
+        root = math.floor(limit ** (1.0 / k) + 1e-9)
+        base = primes[: np.searchsorted(primes, root, side="right")]
+        pk = base**k
+        powers.append(pk[pk <= limit])
+        log_bases.append(np.log(base[: len(powers[-1])].astype(np.float64)))
+        k += 1
+    powers = np.concatenate(powers)
+    order = np.argsort(powers)
+    return powers[order], np.concatenate(log_bases)[order]
 
 
 class _PrimePowerCache:
@@ -59,23 +80,21 @@ class _PrimePowerCache:
             return
         limit = max(limit, 2 * self.limit)
         primes = _sieve_primes(limit)
-        ns = [primes.astype(np.float64)]
-        lams = [np.log(primes)]
-        # prime powers p^k, k >= 2
-        k = 2
-        while 2**k <= limit:
-            base = primes[primes <= limit ** (1.0 / k) + 1e-9]
-            powers = base.astype(np.int64) ** k
-            powers = powers[powers <= limit]
-            ns.append(powers.astype(np.float64))
-            lams.append(np.log(base[: len(powers)].astype(np.float64)))
-            k += 1
-        n = np.concatenate(ns)
-        lam = np.concatenate(lams)
-        order = np.argsort(n, kind="stable")
-        self.n = n[order]
-        self.lam = lam[order]
-        self.log_n = np.log(self.n)
+        powers, log_base = _higher_powers(primes, limit)
+        at = np.searchsorted(primes, powers)
+        # rows n, Lambda(n) and log n of the primes (for a prime, log n is
+        # Lambda(n)), then the few powers inserted into all three at once.
+        # Freeing rows, larger than one table-size array, lifts glibc's mmap
+        # threshold above that size, so the verifiers' table-size temporaries
+        # reuse heap memory instead of faulting in fresh pages on every call.
+        rows = np.empty((3, len(primes)))
+        rows[0] = primes
+        del primes  # freed before np.insert allocates the table
+        np.log(rows[0], out=rows[1])
+        rows[2] = rows[1]
+        powers = powers.astype(np.float64)
+        self.n, self.lam, self.log_n = np.insert(
+            rows, at, np.stack((powers, log_base, np.log(powers))), axis=1)
         self.limit = limit
 
     def upto(self, N: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -123,6 +142,11 @@ def _check_tol(tol: float) -> None:
         raise ValueError(f"tol must be finite and > 0, got {tol!r}")
 
 
+def _check_max_n(max_n: int) -> None:
+    if not max_n >= 1:
+        raise ValueError(f"max_n must be >= 1, got {max_n!r}")
+
+
 @dataclass(frozen=True)
 class SeriesValue:
     """Truncated Dirichlet-series value with its tail bound."""
@@ -141,6 +165,7 @@ def neg_zeta_logderiv(s: complex, tol: float, max_n: int = DEFAULT_MAX_N) -> Ser
     if s.real < SERIES_RE_MIN:
         raise DomainError(f"Re(s) = {s.real} below the convergence window {SERIES_RE_MIN}")
     _check_tol(tol)
+    _check_max_n(max_n)
     N = _n_for_tail(s.real, tol)
     if N > max_n:
         raise CapacityError(
@@ -271,6 +296,7 @@ def lemma_lhs(z: complex, eta: float, tol: float, max_n: int = DEFAULT_MAX_N) ->
     if eta <= 0:
         raise ValueError("eta must be positive")
     _check_tol(tol)
+    _check_max_n(max_n)
     value, err, _ = _k_sum(z, eta, tol, max_n)
     return value, err
 
@@ -345,6 +371,7 @@ def midpoint_bound_check(
     if not (0.0 < eta < 1.0):
         raise ValueError("eta must lie in (0, 1)")
     _check_tol(tol)
+    _check_max_n(max_n)
     lhs, lerr, _ = _k_sum(complex(sigma), eta, tol, max_n)
     rhs_val = math.log(zeta_em(complex(sigma + eta)).real) / (2.0 * eta)
     rerr = abs(rhs_val) * 1e-12
@@ -385,32 +412,45 @@ def applied_trig_sum(
 ) -> VerificationReport:
     """Dual evaluation of sum_j -b_j Re zeta'/zeta(x + ijy).
 
-    Both routes share the real weights Lambda(n) n^{-x} over one
-    truncation N, so they agree up to rounding.  The Dirichlet route sums
-    the series at each shifted point, sum_n weights * cos(j y log n) for
-    term j (no cosine at j = 0 or y = 0); the sieve route evaluates
-    sum_n weights * p(y log n) directly, a sum of nonnegative terms
-    whenever p is nonnegative, with p evaluated in blocks of points.
+    Both routes share the real weights w = Lambda(n) n^{-x} over one
+    truncation N, so they agree up to rounding.  Both run over the same
+    blocks of points, with phi = y log n.  The Dirichlet route sums the
+    series at each shifted point: term j is sum_n w cos(j phi), and with
+    c = cos phi, cos(j phi) = T_j(c), so the block's terms come from one
+    cosine per point by t_0 = w, t_1 = w c, t_{j+1} = 2c t_j - t_{j-1}
+    (no cosine at all when y = 0).  The sieve route evaluates
+    sum_n w p(phi) directly, a sum of nonnegative terms whenever p is
+    nonnegative.
     """
     if x < DESK_RE_MIN:
         raise DomainError(f"x = {x} below the desk-scale window {DESK_RE_MIN}")
     _check_tol(tol)
+    _check_max_n(max_n)
     cert = verify_nonneg(p)
     if not isinstance(cert, Certificate):
         raise ValueError("p must pass the nonnegativity check")
     N = min(_n_for_tail(x, tol), max_n)
     b = p.coeffs
     _, lam, log_n = _CACHE.upto(N)
-    weights = lam * np.exp(-x * log_n)
+    # the sieve route's terms w * p(phi), summed at once after the loop
+    sieve_terms = np.empty_like(lam)
+    # terms[j] accumulates the Dirichlet route's term j over the blocks
+    terms = np.zeros(len(b))
+    for a in range(0, len(lam), _EVAL_BLOCK):
+        blk = slice(a, a + _EVAL_BLOCK)
+        w, phi = lam[blk] * np.exp(-x * log_n[blk]), y * log_n[blk]
+        sieve_terms[blk] = w * eval_poly(p, phi)
+        c = np.cos(phi) if y else 1.0  # at y = 0 every t_j is exactly w
+        two_c = c + c
+        prev, t = w, w * c
+        terms[0] += np.sum(w)
+        terms[1] += np.sum(t)
+        for j in range(2, len(b)):
+            prev, t = t, two_c * t - prev
+            terms[j] += np.sum(t)
     # -zeta'/zeta(x+ijy) is the Lambda series itself, so each term enters with +b_j
-    lhs = sum(
-        bj * float(np.sum(weights if j == 0 or y == 0 else weights * np.cos(j * y * log_n)))
-        for j, bj in enumerate(b)
-    )
-    vals = np.empty_like(weights)
-    for a in range(0, len(vals), _EVAL_BLOCK):
-        vals[a : a + _EVAL_BLOCK] = eval_poly(p, y * log_n[a : a + _EVAL_BLOCK])
-    rhs = float(np.sum(weights * vals))
+    lhs = sum(bj * float(s) for bj, s in zip(b, terms))
+    rhs = float(np.sum(sieve_terms))
     # the shared tail is bounded coefficient-by-coefficient
     bound = sum(abs(bj) for bj in b) * tail_bound(N, x)
     diff = abs(lhs - rhs)

@@ -1,10 +1,13 @@
 import json
+import re
 import subprocess
 import sys
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import zetafree.cli as cli
 from zetafree.mollifier import MollifierShape, g_eval, w_eval
@@ -26,6 +29,72 @@ def test_dumps_canonical_sorted_and_float_format():
 def test_dumps_canonical_nested_and_bool():
     text = dumps_canonical({"x": [True, 1.5, {"y": None}]})
     assert json.loads(text) == {"x": [True, 1.5, {"y": None}]}
+
+
+_FLOAT_MARK = "<~float~>"
+
+
+def _mark_floats(obj):
+    if isinstance(obj, (bool, np.bool_)):
+        return bool(obj)
+    if isinstance(obj, (int, np.integer)):
+        return int(obj)
+    if isinstance(obj, (float, np.floating)):
+        return f"{_FLOAT_MARK}{float(obj):.17g}{_FLOAT_MARK}"
+    if isinstance(obj, dict):
+        return {k: _mark_floats(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_mark_floats(v) for v in obj]
+    return obj
+
+
+def _dumps_by_marked_floats(obj):
+    """Canonical JSON as dumps_canonical once made it: each float marked as a
+    string, json.dumps with sorted keys and indent 2, then the marks rewritten."""
+    text = json.dumps(_mark_floats(obj), sort_keys=True, indent=2)
+    return re.sub(f'"{re.escape(_FLOAT_MARK)}([^"]*){re.escape(_FLOAT_MARK)}"', r"\1", text)
+
+
+_TEXT = st.text().filter(lambda s: _FLOAT_MARK not in s)
+_JSON_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.booleans().map(np.bool_),
+    st.integers(),
+    st.integers(-2**63, 2**63 - 1).map(np.int64),
+    st.floats(),
+    st.floats().map(np.float64),
+    st.floats(width=32).map(np.float32),
+    _TEXT,
+)
+_JSON_VALUES = st.recursive(
+    _JSON_LEAVES,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=5),
+        st.lists(inner, max_size=5).map(tuple),
+        st.dictionaries(_TEXT, inner, max_size=5),
+    ),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_JSON_VALUES)
+def test_dumps_canonical_equals_marked_float_pipeline(obj):
+    assert dumps_canonical(obj) == _dumps_by_marked_floats(obj)
+
+
+def test_dumps_canonical_rejects_what_json_cannot_hold():
+    with pytest.raises(TypeError, match="keys must be str"):
+        dumps_canonical({1: 2.0})
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        dumps_canonical({"a": np.zeros(2)})
+
+
+def test_dumps_canonical_equals_marked_float_pipeline_on_a_table():
+    document = {"config": {"params": {"step": 0.05}}, "rows": [[0.1 * i, i, None, []] for i in range(50)],
+                "empty": {}, "flags": (True, np.bool_(False)), "name": "\u00e9\"\n"}
+    assert dumps_canonical(document) == _dumps_by_marked_floats(document)
 
 
 def test_cli_import_does_not_load_scipy():
@@ -102,6 +171,17 @@ def test_nonfinite_float_flag_exits_one(capsys, argv):
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and "not a finite number" in captured.err
+
+
+@pytest.mark.parametrize("max_n", ["0", "0.5", "-5"])
+@pytest.mark.parametrize("argv", [
+    ["verify-lemma", "--sigma", "1.5", "--eta", "0.5", "--tol", "1e-3"],
+    ["verify-trig", "--coeffs", "3,4,1", "--x", "1.5", "--y", "2", "--tol", "1e-3"],
+], ids=lambda a: a[0])
+def test_max_n_below_one_exits_one(capsys, argv, max_n):
+    assert main([*argv, f"--max-n={max_n}"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "error: max_n must be >= 1, got" in captured.err
 
 
 @pytest.mark.parametrize("argv", [

@@ -11,15 +11,18 @@ from hypothesis import strategies as st
 from zetafree import quadrature, zetanum
 from zetafree.errors import CapacityError, DomainError, QuadratureError
 from zetafree.mollifier import _bernoulli
-from zetafree.trigpoly import CosinePolynomial, ProductForm, expand_product
+from zetafree.trigpoly import MAX_DEGREE, CosinePolynomial, ProductForm, eval_poly, expand_product
 from zetafree.zetanum import (
     _BERN,
     _CACHE,
     _EM_ORDER,
+    _EVAL_BLOCK,
     _KTAIL_C,
+    _PrimePowerCache,
     _k_sum,
     _lambda_sum,
     _n_for_tail,
+    _sieve_primes,
     applied_trig_sum,
     lemma_check,
     lemma_lhs,
@@ -81,6 +84,63 @@ def test_lambda_upper_bound():
     assert np.all(np.diff(n) > 0) and n[-1] <= 500
     assert np.array_equal(log_n, np.log(n))
     assert np.all(lam <= log_n + 1e-12)
+
+
+def _sieve_primes_full(limit):
+    """Primes <= limit from a sieve over every integer."""
+    is_prime = np.ones(limit + 1, dtype=bool)
+    is_prime[:2] = False
+    for p in range(2, int(limit**0.5) + 1):
+        if is_prime[p]:
+            is_prime[p * p :: p] = False
+    return np.nonzero(is_prime)[0]
+
+
+def _table_by_argsort(limit):
+    """(n, Lambda(n), log n) up to limit, as the table was once built: the primes
+    and each power k >= 2 concatenated, then put in order by a stable argsort."""
+    primes = _sieve_primes_full(limit)
+    ns = [primes.astype(np.float64)]
+    lams = [np.log(primes)]
+    k = 2
+    while 2**k <= limit:
+        base = primes[primes <= limit ** (1.0 / k) + 1e-9]
+        powers = base.astype(np.int64) ** k
+        powers = powers[powers <= limit]
+        ns.append(powers.astype(np.float64))
+        lams.append(np.log(base[: len(powers)].astype(np.float64)))
+        k += 1
+    n = np.concatenate(ns)
+    lam = np.concatenate(lams)
+    order = np.argsort(n, kind="stable")
+    return n[order], lam[order], np.log(n[order])
+
+
+def _assert_table_equals_argsort_build(cache, limit):
+    for got, want in zip((cache.n, cache.lam, cache.log_n), _table_by_argsort(limit)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("limit", list(range(65)) + [10**5])
+def test_prime_power_table_equals_argsort_build(limit):
+    assert np.array_equal(_sieve_primes(limit), _sieve_primes_full(limit))
+    cache = _PrimePowerCache()
+    cache.ensure(limit)
+    assert cache.limit == limit
+    _assert_table_equals_argsort_build(cache, limit)
+
+
+def test_prime_power_table_grown_equals_argsort_build():
+    cache = _PrimePowerCache()
+    cache.ensure(100)
+    cache.ensure(150)  # doubles to 200
+    assert cache.limit == 200
+    _assert_table_equals_argsort_build(cache, 200)
+    cache.ensure(10**4)
+    assert cache.limit == 10**4
+    _assert_table_equals_argsort_build(cache, 10**4)
+    n, lam, log_n = cache.upto(5000)
+    assert n[-1] == 4999 and len(n) == len(lam) == len(log_n)
 
 
 # ---------------------------------------------------------------------------
@@ -336,8 +396,79 @@ def test_dirichlet_route_matches_complex_series(x, y, N, tol, p):
     assert abs(report.lhs - oracle) <= 1e-13 * scale
 
 
+def _dirichlet_per_j(b, x, y, N):
+    """The Dirichlet route as one np.cos(j y log n) over the whole prefix per
+    j >= 1, as applied_trig_sum once computed it: (lhs, sum of the weights)."""
+    _, lam, log_n = _CACHE.upto(N)
+    weights = lam * np.exp(-x * log_n)
+    lhs = sum(
+        bj * float(np.sum(weights if j == 0 or y == 0 else weights * np.cos(j * y * log_n)))
+        for j, bj in enumerate(b)
+    )
+    return lhs, float(np.sum(weights))
+
+
+# N with exactly two blocks of prime powers, so the last block is full
+_TWO_BLOCKS_N = 1_738_427
+
+
+@st.composite
+def _dominated_poly(draw):
+    """A cosine polynomial of degree <= MAX_DEGREE, any signs, b_0 >= sum_{j>=1} |b_j|."""
+    d = draw(st.integers(1, MAX_DEGREE))
+    tail = draw(st.lists(st.floats(-1.0, 1.0), min_size=d, max_size=d))
+    return CosinePolynomial((0.5 + sum(abs(c) for c in tail), *tail))
+
+
+@settings(max_examples=30, deadline=None)
+@given(_dominated_poly(), st.floats(1.25, 3.0), st.floats(0.0, 50.0), st.integers(2, 3 * 10**6))
+@example(CosinePolynomial((3.0, 4.0, 1.0)), 1.3, 0.0, 3 * 10**6)
+@example(D9, 1.25, 49.9, _TWO_BLOCKS_N)
+@example(CosinePolynomial((1.0, 0.0)), 2.0, 14.13, 10**6)
+def test_dirichlet_route_matches_per_j_cosines(p, x, y, N):
+    report = applied_trig_sum(p, x, y, tol=1e-15, max_n=N)
+    assert report.params["N"] == N
+    oracle, sum_w = _dirichlet_per_j(p.coeffs, x, y, N)
+    assert abs(report.lhs - oracle) <= 1e-13 * sum(abs(bj) for bj in p.coeffs) * sum_w
+
+
+_D32_TAIL = np.random.default_rng(0).uniform(-1.0, 1.0, MAX_DEGREE).tolist()
+D32 = CosinePolynomial((0.5 + sum(abs(c) for c in _D32_TAIL), *_D32_TAIL))
+
+
+@pytest.mark.parametrize("p", [CosinePolynomial((3.0, 4.0, 1.0)), D5, D9, D32],
+                         ids=["classical", "d5_optimum", "d9_product", "d32_dominated"])
+@pytest.mark.parametrize("x, y", [(1.25, 0.37), (1.3, 14.13), (2.0, 49.9)])
+def test_dirichlet_route_matches_mpmath(p, x, y):
+    N = 3000
+    report = applied_trig_sum(p, x, y, tol=1e-10, max_n=N)
+    n, _, _ = _CACHE.upto(N)
+    with mp.workdps(40):
+        lhs, sum_w = mp.mpf(0), mp.mpf(0)
+        for m in n.astype(int).tolist():
+            p_m = next(q for q in range(2, m + 1) if m % q == 0)  # m is a power of p_m
+            w = mp.log(p_m) * mp.power(m, -mp.mpf(x))
+            phi = mp.mpf(y) * mp.log(m)
+            sum_w += w
+            lhs += w * mp.fsum(bj * mp.cos(j * phi) for j, bj in enumerate(p.coeffs))
+    # the rounding of y log n, which d/dphi cos(j phi) amplifies by j, sets the floor
+    assert abs(report.lhs - float(lhs)) <= 1e-14 * sum(abs(bj) for bj in p.coeffs) * float(sum_w)
+
+
+@pytest.mark.parametrize("N", [_TWO_BLOCKS_N, 3 * 10**6])
+def test_sieve_route_is_blockwise_eval_poly(N):
+    n, lam, log_n = _CACHE.upto(N)
+    assert (len(n) == 2 * _EVAL_BLOCK) == (N == _TWO_BLOCKS_N)
+    x, y = 1.3, 14.13
+    report = applied_trig_sum(D9, x, y, tol=1e-10, max_n=N)
+    weights = lam * np.exp(-x * log_n)
+    vals = np.concatenate([eval_poly(D9, y * log_n[a : a + _EVAL_BLOCK])
+                           for a in range(0, len(n), _EVAL_BLOCK)])
+    assert report.rhs == float(np.sum(weights * vals))
+
+
 # ---------------------------------------------------------------------------
-# tol validation
+# tol and max_n validation
 # ---------------------------------------------------------------------------
 
 _CALLS_WITH_TOL = {
@@ -356,3 +487,27 @@ _CALLS_WITH_TOL = {
 def test_tol_must_be_finite_and_positive(name, tol):
     with pytest.raises(ValueError, match="tol must be finite and > 0"):
         _CALLS_WITH_TOL[name](tol)
+
+
+_CALLS_WITH_MAX_N = {
+    "neg_zeta_logderiv": lambda max_n: neg_zeta_logderiv(2.0, 1e-3, max_n=max_n),
+    "lemma_lhs": lambda max_n: lemma_lhs(1.5 + 10j, 0.25, 1e-3, max_n=max_n),
+    "lemma_check": lambda max_n: lemma_check(1.5 + 10j, 0.25, tol=1e-3, max_n=max_n),
+    "midpoint_bound_check": lambda max_n: midpoint_bound_check(1.5, 0.25, tol=1e-3, max_n=max_n),
+    "applied_trig_sum": lambda max_n: applied_trig_sum(CosinePolynomial((3.0, 4.0, 1.0)),
+                                                       2.0, 1.0, tol=1e-3, max_n=max_n),
+}
+
+
+@pytest.mark.parametrize("max_n", [0, 0.5, -5, float("nan")])
+@pytest.mark.parametrize("name", sorted(_CALLS_WITH_MAX_N))
+def test_max_n_must_be_at_least_one(name, max_n):
+    with pytest.raises(ValueError, match=f"max_n must be >= 1, got {max_n!r}"):
+        _CALLS_WITH_MAX_N[name](max_n)
+
+
+def test_max_n_one_truncates_to_the_empty_sum():
+    report = _CALLS_WITH_MAX_N["applied_trig_sum"](1)
+    assert report.params["N"] == 1
+    assert report.lhs == report.rhs == 0.0
+    assert report.lhs_error_bound == 8.0 * tail_bound(1, 2.0)
