@@ -90,7 +90,6 @@ def lambda_of(t: float, B: float, M: float) -> float:
 
 def region_table(
     p: CosinePolynomial,
-    A: float = DEFAULT_A,
     B: float = DEFAULT_B,
     t_values: Sequence[float] = (3e12,),
 ) -> List[RegionRow]:

@@ -361,12 +361,7 @@ def _run_verify_trig(config: RunConfig):
 def _run_region(config: RunConfig):
     p = CosinePolynomial(tuple(_coeff_list(str(config.params["coeffs"]))))
     t_values = _coeff_list(str(config.params["t"]))
-    rows = region_table(
-        p,
-        A=float(config.params["A"]),
-        B=float(config.params["B"]),
-        t_values=t_values,
-    )
+    rows = region_table(p, B=float(config.params["B"]), t_values=t_values)
     if config.output_format == "csv":
         text = _rows_to_csv(
             ("t", "eta", "lambda", "beta_bound", "flags"),

@@ -27,6 +27,7 @@ from .asymptotics import M_from_sums, M_from_theta
 from .errors import NoFeasiblePointError
 from .mollifier import RATIO_WINDOW, solve_theta
 from .trigpoly import (
+    MAX_DEGREE,
     Certificate,
     CosinePolynomial,
     ProductForm,
@@ -105,7 +106,7 @@ def _objective(x: Sequence[float], half: bool) -> float:
     product, so no cosine expansion and no dataclass is built.  The box
     check keeps every offset finite and positive.
     """
-    roots = np.exp(x).tolist()
+    roots = [math.exp(v) for v in x]
     if any(not (ROOT_BOX[0] * 0.5 <= a <= ROOT_BOX[1] * 2.0) for a in roots):
         return _PENALTY
     b0, b1, s_tail, s_all = _cosine_sums(_power_product(half, roots))
@@ -146,21 +147,25 @@ def _scrambled_halton(dim: int, n: int, seed: int) -> np.ndarray:
     return points
 
 
+def _vertex_order(fsim: List[float]) -> List[int]:
+    """Vertex indices by increasing value; ties keep their index order."""
+    return sorted(range(len(fsim)), key=fsim.__getitem__)
+
+
 def _nelder_mead(f, x0: List[float], f0: float, xatol: float) -> Tuple[List[float], float, bool]:
     """Minimize f from x0, where f0 = f(x0) is already known; return the
     best vertex, its value and whether it converged.
 
     It stops when every vertex is within xatol of the best one in each
     coordinate and every value within _FATOL of the best value, or after
-    MAX_ITER iterations.  The vertices are lists of floats and f receives
-    a list: on a simplex of a few vertices, numpy's per-call overhead costs
-    more than the arithmetic.  Every step keeps the order of operations of
-    scipy's array implementation (the centroid is summed from the first
-    vertex on, as numpy's axis-0 reduce does), so the iterates are
-    bit-identical to it.  Ties in the values are frequent on the flat top
-    of M, and the iterates depend on their order, so the simplex is still
-    ordered with numpy's argsort, whose default sort is not stable: a stable
-    sort orders ties differently.
+    MAX_ITER iterations.  The vertices are lists of floats: on a few
+    vertices numpy's per-call overhead costs more than the arithmetic.
+    Every step keeps the order of operations of scipy's array
+    implementation (the centroid is summed from the first vertex on, as
+    numpy's axis-0 reduce does).  scipy orders the simplex with numpy's
+    argsort, whose order of tied values depends on the CPU; this one uses
+    the stable _vertex_order, so the iterates equal scipy's while no
+    values tie, and on ties they are the same on every machine.
     """
     n = len(x0)
     sim = [list(x0)]
@@ -169,12 +174,14 @@ def _nelder_mead(f, x0: List[float], f0: float, xatol: float) -> Tuple[List[floa
         y[k] = (1 + _NONZERO_STEP) * y[k] if y[k] != 0 else _ZERO_STEP
         sim.append(y)
     fsim = [f0] + [f(v) for v in sim[1:]]
-    order = np.array(fsim).argsort().tolist()
-    sim, fsim = [sim[i] for i in order], [fsim[i] for i in order]
 
     iterations = 1
-    while iterations < MAX_ITER:
+    while True:
+        order = _vertex_order(fsim)
+        sim, fsim = [sim[i] for i in order], [fsim[i] for i in order]
         best, worst = sim[0], sim[-1]
+        if iterations >= MAX_ITER:
+            return best, fsim[0], False
         # all(... <= tol), like np.max(...) <= tol, is False if any term is nan
         if (all(abs(fsim[0] - fv) <= _FATOL for fv in fsim[1:])
                 and all(abs(a - b) <= xatol for v in sim[1:] for a, b in zip(v, best))):
@@ -207,9 +214,6 @@ def _nelder_mead(f, x0: List[float], f0: float, xatol: float) -> Tuple[List[floa
                     sim[j] = [b + _SIGMA * (a - b) for a, b in zip(sim[j], best)]
                     fsim[j] = f(sim[j])
         iterations += 1
-        order = np.array(fsim).argsort().tolist()
-        sim, fsim = [sim[i] for i in order], [fsim[i] for i in order]
-    return sim[0], fsim[0], False
 
 
 def optimize(
@@ -227,8 +231,8 @@ def optimize(
     counts, and is reported in notes.
     """
     e = 1 if half_angle_factor else 0
-    if degree < 2 or degree > 32:
-        raise ValueError("degree must be in 2..32")
+    if degree < 2 or degree > MAX_DEGREE:
+        raise ValueError(f"degree must be in 2..{MAX_DEGREE}")
     if (degree - e) % 2 != 0:
         raise ValueError(
             f"degree {degree} is inconsistent with half_angle_factor={half_angle_factor}"
@@ -242,20 +246,20 @@ def optimize(
         raise ValueError(f"tol must be finite and > 0, got {tol!r}")
 
     lo, hi = math.log(ROOT_BOX[0]), math.log(ROOT_BOX[1])
-    points = lo + (hi - lo) * _scrambled_halton(m, starts, seed)
     objective = partial(_objective, half=half_angle_factor)
 
     best_value = _PENALTY
     best_roots: Optional[Tuple[float, ...]] = None
     trace: List[Tuple[int, float]] = []
     capped = 0
-    for idx, x0 in enumerate(points.tolist()):
+    for idx, u in enumerate(_scrambled_halton(m, starts, seed).tolist()):
+        x0 = [lo + (hi - lo) * v for v in u]
         f0 = objective(x0)
         if f0 >= _PENALTY:
             continue
         x, value, converged = _nelder_mead(objective, x0, f0, tol)
         capped += not converged
-        roots = tuple(sorted(float(a) for a in np.exp(x)))
+        roots = tuple(sorted(math.exp(v) for v in x))
         if value < best_value or (value == best_value and roots < best_roots):
             best_value, best_roots = float(value), roots
         trace.append((idx, -best_value))

@@ -1,4 +1,5 @@
 import json
+import os
 import re
 import subprocess
 import sys
@@ -122,6 +123,32 @@ def test_cli_runs_without_mpmath():
     assert "zetafree.trigpoly" in loaded
     assert [m for m in loaded if m.split(".")[0] == "mpmath"] == []
     assert json.loads(proc.stdout)["result"]["M"] > 0
+
+
+def _numpy_dispatch_list():
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__
+    except ImportError:  # numpy 1.x
+        from numpy.core._multiarray_umath import __cpu_dispatch__
+    return list(__cpu_dispatch__)
+
+
+@pytest.mark.parametrize("argv", [
+    ["--degree", "3", "--half-angle-factor", "--starts", "8"],
+    ["--degree", "5", "--half-angle-factor", "--starts", "64"],
+    ["--degree", "8", "--starts", "16"],
+])
+def test_optimize_stdout_does_not_depend_on_numpy_cpu_dispatch(argv):
+    dispatch = _numpy_dispatch_list()
+    if not dispatch:
+        pytest.skip("this numpy build dispatches no CPU features")
+    baseline_env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(dispatch))
+    outputs = [
+        subprocess.run([sys.executable, "-m", "zetafree.cli", "optimize", *argv],
+                       capture_output=True, check=True, env=env).stdout
+        for env in (None, baseline_env)
+    ]
+    assert outputs[0] == outputs[1]
 
 
 # ---------------------------------------------------------------------------
