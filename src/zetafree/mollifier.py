@@ -342,7 +342,8 @@ class MollifierShape:
         if np.any(u_arr < 0):
             raise ValueError("u must be >= 0")
         lu = np.minimum(self.lam * u_arr, self.w_support)
-        vals = self.lam * np.exp(lu) * w_eval(self.theta, lu)
+        # math.exp per element: np.exp's last bits depend on numpy's CPU dispatch
+        vals = self.lam * np.vectorize(math.exp, otypes=[float])(lu) * w_eval(self.theta, lu)
         return float(vals) if np.isscalar(u) else vals
 
 

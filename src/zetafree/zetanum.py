@@ -246,46 +246,30 @@ class VerificationReport:
 # Telescoping identity
 # ---------------------------------------------------------------------------
 
-_KTAIL_C = 4.0 * math.log(2.0)  # majorant constant: -zeta'/zeta(sigma) <= C*2^-sigma, sigma >= 2.5
-
-
-def _k_sum(z: complex, eta: float, tol: float, max_n: int) -> Tuple[float, float, int]:
+def _k_sum(z: complex, eta: float, tol: float, max_n: int) -> Tuple[float, float]:
     """sum_{k>=1} -Re zeta'/zeta(z + 2k*eta) with an achieved error bound.
 
-    Per-term tolerances are allocated geometrically (ratio 2^(-2*eta))
-    because the leading term dominates the cost; each term's truncation
-    is capped at max_n and the achieved tail bounds are summed into the
-    reported error.  Every term has the same ordinate t = Im z, so term k
-    is sum_{n <= N_k} c(n) n^(-sigma_k) over one shared real array
-    c = Lambda(n) cos(t log n), computed once up to the largest N_k.
+    Summed over k first, the terms of each prime power n form a geometric
+    series, so with s = Re z + 2*eta and t = Im z the sum is
+    sum_n Lambda(n) cos(t log n) n^(-s) / (1 - n^(-2*eta)), truncated at one
+    N <= max_n.  Every n > N has 1 - n^(-2*eta) >= 1 - (N+1)^(-2*eta), so
+    tail_bound(N, s) over that bounds the rest, and it is <= tol if N < max_n.
     """
-    sigma, t = z.real, z.imag
-    r = 2.0 ** (-2.0 * eta)
-    r = min(r, 0.98)
-    # K: cut when the geometric majorant of the remaining terms is below tol/2
-    K = 1
-    while True:
-        sig_next = sigma + 2.0 * (K + 1) * eta
-        if sig_next >= 2.5:
-            ktail = _KTAIL_C * 2.0 ** (-sig_next) / (1.0 - 2.0 ** (-2.0 * eta))
-            if ktail <= tol / 2.0:
-                break
-        K += 1
-        if K > 100000:
-            raise ArithmeticError("failed to truncate the k sum")
-
-    sig = [sigma + 2.0 * k * eta for k in range(1, K + 1)]
-    Ns = [min(_n_for_tail(sig_k, (tol / 2.0) * (1.0 - r) * r ** (k - 1)), max_n)
-          for k, sig_k in enumerate(sig, start=1)]
-    n, lam, log_n = _CACHE.upto(max(Ns))
-    c = lam if t == 0 else lam * np.cos(t * log_n)
-    total = 0.0
-    err = ktail
-    for sig_k, N_k in zip(sig, Ns):
-        i = np.searchsorted(n, N_k, side="right")
-        total += float(np.sum(c[:i] * np.exp(-sig_k * log_n[:i])))
-        err += tail_bound(N_k, sig_k)
-    return total, err, K
+    s, t = z.real + 2.0 * eta, z.imag
+    N = min(_n_for_tail(s, tol * -math.expm1(-2.0 * eta * math.log(2.0))), max_n)
+    _, lam, log_n = _CACHE.upto(N)
+    # in place, two prefix-length arrays; the denominator is -expm1 because
+    # 1/expm1(2*eta*log n) overflows at large eta
+    den = np.multiply(log_n, -2.0 * eta)
+    np.negative(np.expm1(den, out=den), out=den)
+    terms = np.multiply(log_n, -s)
+    np.exp(terms, out=terms)
+    terms /= den
+    if t:  # no cosine at t = 0, where every cos(t log n) is 1
+        terms *= np.cos(np.multiply(log_n, t, out=den), out=den)
+    terms *= lam
+    bound = tail_bound(N, s) / -math.expm1(-2.0 * eta * math.log(N + 1))
+    return float(np.sum(terms)), bound
 
 
 def lemma_lhs(z: complex, eta: float, tol: float, max_n: int = DEFAULT_MAX_N) -> Tuple[float, float]:
@@ -297,8 +281,7 @@ def lemma_lhs(z: complex, eta: float, tol: float, max_n: int = DEFAULT_MAX_N) ->
         raise ValueError("eta must be positive")
     _check_tol(tol)
     _check_max_n(max_n)
-    value, err, _ = _k_sum(z, eta, tol, max_n)
-    return value, err
+    return _k_sum(z, eta, tol, max_n)
 
 
 def lemma_rhs(z: complex, eta: float, tol: float) -> Tuple[float, float]:
@@ -372,7 +355,7 @@ def midpoint_bound_check(
         raise ValueError("eta must lie in (0, 1)")
     _check_tol(tol)
     _check_max_n(max_n)
-    lhs, lerr, _ = _k_sum(complex(sigma), eta, tol, max_n)
+    lhs, lerr = _k_sum(complex(sigma), eta, tol, max_n)
     rhs_val = math.log(zeta_em(complex(sigma + eta)).real) / (2.0 * eta)
     rerr = abs(rhs_val) * 1e-12
     margin = rhs_val - lhs

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import subprocess
@@ -139,12 +140,22 @@ def _numpy_dispatch_list():
     ["--degree", "8", "--starts", "16"],
 ])
 def test_optimize_stdout_does_not_depend_on_numpy_cpu_dispatch(argv):
+    _assert_stdout_does_not_depend_on_numpy_cpu_dispatch(["optimize", *argv])
+
+
+def test_mollifier_table_stdout_does_not_depend_on_numpy_cpu_dispatch():
+    _assert_stdout_does_not_depend_on_numpy_cpu_dispatch(
+        ["mollifier-table", "--b0", "3", "--b1", "4", "--lam", "0.7", "--step", "0.01",
+         "--format", "csv"])
+
+
+def _assert_stdout_does_not_depend_on_numpy_cpu_dispatch(argv):
     dispatch = _numpy_dispatch_list()
     if not dispatch:
         pytest.skip("this numpy build dispatches no CPU features")
     baseline_env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(dispatch))
     outputs = [
-        subprocess.run([sys.executable, "-m", "zetafree.cli", "optimize", *argv],
+        subprocess.run([sys.executable, "-m", "zetafree.cli", *argv],
                        capture_output=True, check=True, env=env).stdout
         for env in (None, baseline_env)
     ]
@@ -459,7 +470,7 @@ def test_mollifier_table_matches_row_by_row_evaluation(lam, capsys):
     u = 0.0
     while u <= shape.w_support + step / 2:
         lu = shape.lam * u
-        f = shape.lam * np.exp(lu) * w_eval(shape.theta, lu) if lu < shape.w_support else 0.0
+        f = shape.lam * math.exp(lu) * w_eval(shape.theta, lu) if lu < shape.w_support else 0.0
         rows.append((u, g_eval(shape.theta, u), w_eval(shape.theta, u), f))
         u += step
     want = np.array(rows)
@@ -490,6 +501,14 @@ def test_verify_lemma_pass(capsys):
     assert doc["result"]["pass"] is True
     assert doc["result"]["abs_diff"] <= (doc["result"]["lhs_error_bound"]
                                          + doc["result"]["rhs_error_bound"] + 1e-3)
+
+
+def test_verify_lemma_small_eta_reports_its_bound(capsys):
+    assert main(["verify-lemma", "--sigma", "1.5", "--eta", "1e-6",
+                 "--tol", "1e-3", "--max-n", "1e5"]) == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert result["pass"] is True
+    assert math.isfinite(result["lhs"]) and math.isfinite(result["lhs_error_bound"])
 
 
 def test_verify_trig_pass(capsys):

@@ -1,6 +1,5 @@
 import math
 from fractions import Fraction
-from unittest import mock
 
 import mpmath as mp
 import numpy as np
@@ -8,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from zetafree import quadrature, zetanum
+from zetafree import quadrature
 from zetafree.errors import CapacityError, DomainError, QuadratureError
 from zetafree.mollifier import _bernoulli
 from zetafree.trigpoly import MAX_DEGREE, CosinePolynomial, ProductForm, eval_poly, expand_product
@@ -17,7 +16,6 @@ from zetafree.zetanum import (
     _CACHE,
     _EM_ORDER,
     _EVAL_BLOCK,
-    _KTAIL_C,
     _PrimePowerCache,
     _k_sum,
     _lambda_sum,
@@ -336,6 +334,9 @@ def test_applied_trig_random_agreement_higher_degree(p):
 # real-arithmetic kernels against the complex Lambda series
 # ---------------------------------------------------------------------------
 
+_KTAIL_C = 4.0 * math.log(2.0)  # majorant constant: -zeta'/zeta(sigma) <= C*2^-sigma, sigma >= 2.5
+
+
 def _k_sum_complex(z, eta, tol, max_n):
     """The k-sum as one complex Lambda series per term, as _k_sum once computed
     it: (terms, N_k, error bound, K, sum of Lambda(n) n^-sigma_k over the terms)."""
@@ -360,6 +361,11 @@ def _k_sum_complex(z, eta, tol, max_n):
     return terms, Ns, err, K, scale
 
 
+def _k_sum_bound(sigma, eta, N):
+    """The closed form's bound: tail_bound(N, s) / (1 - (N+1)^(-2*eta)), s = sigma + 2*eta."""
+    return tail_bound(N, sigma + 2.0 * eta) / -math.expm1(-2.0 * eta * math.log(N + 1))
+
+
 _SIGMA = st.floats(1.25, 3.0)
 _T = st.floats(0.0, 60.0)
 _N = st.integers(2, 10**6)
@@ -372,13 +378,40 @@ _TOL = st.sampled_from([1e-3, 1e-6, 1e-10])
 @example(1.3, 14.13, 10**6, 0.05, 1e-3)
 def test_k_sum_matches_complex_series(sigma, t, N, eta, tol):
     z = complex(sigma, t)
-    terms, Ns, err, K, scale = _k_sum_complex(z, eta, tol, N)
-    with mock.patch.object(zetanum, "_n_for_tail", wraps=_n_for_tail) as spy:
-        total, got_err, got_K = _k_sum(z, eta, tol, N)
-    assert got_K == K
-    assert [min(_n_for_tail(*c.args), N) for c in spy.call_args_list] == Ns
-    assert got_err == err
-    assert abs(total - math.fsum(terms)) <= 1e-13 * scale
+    terms, _, err_ref, _, scale = _k_sum_complex(z, eta, tol, N)
+    total, got_err = _k_sum(z, eta, tol, N)
+    N_used = min(_n_for_tail(sigma + 2.0 * eta, tol * -math.expm1(-2.0 * eta * math.log(2.0))), N)
+    assert got_err == _k_sum_bound(sigma, eta, N_used)
+    assert N_used == N or got_err <= tol
+    assert abs(total - math.fsum(terms)) <= err_ref + got_err + 1e-13 * scale
+
+
+def _k_sum_by_terms(z, eta, N):
+    """sum over k of _lambda_sum(z + 2k*eta, N).real, up to the first term below 1e-18."""
+    terms = [_lambda_sum(z + 2.0 * eta, N).real]
+    while abs(terms[-1]) >= 1e-18:
+        terms.append(_lambda_sum(z + 2.0 * (len(terms) + 1) * eta, N).real)
+    return math.fsum(terms)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_SIGMA, _T, st.floats(0.05, 0.5), _N)
+@example(1.25, 0.0, 0.05, 10**6)
+@example(1.3, 14.13, 0.5, 2)
+def test_k_sum_closed_form_matches_per_k_series(sigma, t, eta, N):
+    z = complex(sigma, t)
+    # at this tol every N is capped, so both sides sum the same prime powers
+    total, err = _k_sum(z, eta, 1e-300, N)
+    assert err == _k_sum_bound(sigma, eta, N)
+    _, lam, log_n = _CACHE.upto(N)
+    scale = float(np.sum(lam * np.exp(-sigma * log_n) / np.expm1(2.0 * eta * log_n)))
+    assert abs(total - _k_sum_by_terms(z, eta, N)) <= 1e-13 * scale
+
+
+def test_lemma_lhs_small_eta_reports_its_bound():
+    value, err = lemma_lhs(1.5, 1e-4, 1e-3, max_n=10**5)
+    assert math.isfinite(value) and math.isfinite(err)
+    assert err == _k_sum_bound(1.5, 1e-4, 10**5)
 
 
 @settings(max_examples=40, deadline=None)
@@ -511,3 +544,6 @@ def test_max_n_one_truncates_to_the_empty_sum():
     assert report.params["N"] == 1
     assert report.lhs == report.rhs == 0.0
     assert report.lhs_error_bound == 8.0 * tail_bound(1, 2.0)
+    value, err = _CALLS_WITH_MAX_N["lemma_lhs"](1)
+    assert value == 0.0
+    assert err == tail_bound(1, 2.0) / -math.expm1(-0.5 * math.log(2.0))
