@@ -15,7 +15,7 @@ from typing import List, Sequence, Tuple
 
 from .errors import DomainError, NonnegativityError
 from .mollifier import solve_theta
-from .trigpoly import Certificate, CosinePolynomial, verify_nonneg
+from .trigpoly import Certificate, CosinePolynomial
 
 DEFAULT_A = 76.2
 DEFAULT_B = 4.45
@@ -35,7 +35,7 @@ def check_objective_input(p: CosinePolynomial) -> None:
     b = p.coeffs
     if b[0] <= 0 or b[1] <= 0:
         raise ValueError("b0 and b1 must be positive")
-    cert = verify_nonneg(p)
+    cert = p.nonneg
     if not isinstance(cert, Certificate):
         raise NonnegativityError(
             f"polynomial dips to {cert.value:.3g} at theta={cert.theta:.6g}"

@@ -34,7 +34,6 @@ from .trigpoly import (
     _cosine_sums,
     _power_product,
     expand_product,
-    verify_nonneg,
 )
 
 ROOT_BOX = (0.01, 3.0)
@@ -271,7 +270,7 @@ def optimize(
     best = evaluate_candidate(best_form)
     if isinstance(best, Rejection):
         raise NoFeasiblePointError(f"best candidate was rejected: {best.reason}")
-    cert = verify_nonneg(best.poly)
+    cert = best.poly.nonneg
     if not isinstance(cert, Certificate):
         raise NoFeasiblePointError("best candidate failed the nonnegativity check")
 

@@ -10,6 +10,7 @@ with _require_tol.
 
 import heapq
 import itertools
+import math
 
 import numpy as np
 
@@ -30,7 +31,11 @@ def _panel(f, a, b):
 
 
 def adaptive_quad(f, a, b, tol=1e-11):
-    """Integrate f over [a, b]; returns (value, error_estimate)."""
+    """Integrate f over [a, b]; returns (value, error_estimate).
+
+    The estimate is the exactly rounded sum (math.fsum) of the final
+    panels' estimates, so it is >= 0.
+    """
     if a == b:
         return 0.0, 0.0
     val, err = _panel(f, a, b)
@@ -38,7 +43,13 @@ def adaptive_quad(f, a, b, tol=1e-11):
     counter = itertools.count()
     heap = [(-err, next(counter), a, b, val, err)]
     total_err = err
-    while total_err > tol and len(heap) < MAX_PANELS:
+    while len(heap) < MAX_PANELS:
+        if total_err <= tol:
+            # the running sum cancels when one panel's estimate dwarfs the
+            # rest; stop only if the exact sum agrees
+            total_err = math.fsum(item[5] for item in heap)
+            if total_err <= tol:
+                break
         _, _, pa, pb, pv, pe = heapq.heappop(heap)
         total_err -= pe
         mid = 0.5 * (pa + pb)
@@ -47,12 +58,12 @@ def adaptive_quad(f, a, b, tol=1e-11):
             heapq.heappush(heap, (-qe, next(counter), qa, qb, qv, qe))
             total_err += qe
     value = sum(item[4] for item in heap)
-    return value, total_err
+    return value, math.fsum(item[5] for item in heap)
 
 
 def _require_tol(err, tol):
     """Raise QuadratureError if an adaptive_quad estimate err missed its tol."""
-    if err > tol:
+    if not err <= tol:  # a nan estimate misses too
         raise QuadratureError(
             f"quadrature stopped at the {MAX_PANELS}-panel cap with error estimate "
             f"{err:.3g} above the requested tol {tol:.3g}"

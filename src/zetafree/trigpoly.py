@@ -5,6 +5,7 @@ manifestly nonnegative product form
 scale * (1 + cos t)^e * prod_i (a_i + cos t)^2 with e in {0, 1}.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence, Tuple, Union
@@ -45,6 +46,16 @@ class CosinePolynomial:
 
     def to_json(self) -> list:
         return list(self.coeffs)
+
+    @functools.cached_property
+    def nonneg(self) -> Union["Certificate", "Violation"]:
+        """verify_nonneg(self) at its default tol, computed once per object.
+
+        cached_property writes into the instance __dict__, which the frozen
+        dataclass allows; the fields, and so ==, hash, repr and to_json, do
+        not see it.
+        """
+        return verify_nonneg(self)
 
 
 @dataclass(frozen=True)
@@ -143,6 +154,22 @@ def _clenshaw_reinsch(b: Sequence[float], sin2: np.ndarray, cos2: np.ndarray) ->
     return b[0] + 0.5 * u * e + sigma * d
 
 
+def _eval_cos(b: Sequence[float], th: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """sum b_j cos(j*theta) at the 1-D points th, given x = cos(th).
+
+    Clenshaw's sum in x, then the points near x = +-1 again from the half
+    angle (see eval_poly).  A caller that already holds cos(th) passes it,
+    and no cosine of th is taken here.
+    """
+    vals = _clenshaw(b, x)
+    sin_below = min(len(b) / _HALF_ANGLE_BELOW, math.sqrt(0.75))
+    near = np.nonzero(np.abs(x) > math.sqrt(1.0 - sin_below**2))[0]
+    if near.size:
+        half = 0.5 * th[near]
+        vals[near] = _clenshaw_reinsch(b, np.sin(half) ** 2, np.cos(half) ** 2)
+    return vals
+
+
 def eval_poly(p: CosinePolynomial, theta):
     """Evaluate sum b_j cos(j*theta); accepts scalars or arrays.
 
@@ -156,14 +183,7 @@ def eval_poly(p: CosinePolynomial, theta):
     exactly b_0 everywhere.
     """
     th = np.asarray(theta, dtype=float).reshape(-1)
-    b = p.coeffs
-    x = np.cos(th)
-    vals = _clenshaw(b, x)
-    sin_below = min(len(b) / _HALF_ANGLE_BELOW, math.sqrt(0.75))
-    near = np.nonzero(np.abs(x) > math.sqrt(1.0 - sin_below**2))[0]
-    if near.size:
-        half = 0.5 * th[near]
-        vals[near] = _clenshaw_reinsch(b, np.sin(half) ** 2, np.cos(half) ** 2)
+    vals = _eval_cos(p.coeffs, th, np.cos(th))
     return float(vals[0]) if np.isscalar(theta) else vals.reshape(np.shape(theta))
 
 

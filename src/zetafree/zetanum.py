@@ -25,7 +25,7 @@ import numpy as np
 from .errors import CapacityError, DomainError
 from .mollifier import _bernoulli
 from .quadrature import _require_tol, adaptive_quad
-from .trigpoly import Certificate, CosinePolynomial, eval_poly, verify_nonneg
+from .trigpoly import Certificate, CosinePolynomial, _eval_cos, eval_poly
 
 DEFAULT_MAX_N = 10**8
 SERIES_RE_MIN = 1.1
@@ -246,6 +246,20 @@ class VerificationReport:
 # Telescoping identity
 # ---------------------------------------------------------------------------
 
+def _check_k_sum_range(sigma: float, eta: float) -> None:
+    """Raise DomainError if eta is so small that the k-sum at Re z = sigma
+    leaves the float range.
+
+    With s = sigma + 2*eta, tail_bound(N, s) falls as N grows from 1, and
+    1 - n^(-2*eta) grows with n, so tail_bound(1, s) / (1 - 2^(-2*eta)) bounds
+    the first term (n = 2), the whole sum and its tail bound at once.
+    """
+    s = sigma + 2.0 * eta
+    if not math.isfinite(tail_bound(1, s) / -math.expm1(-2.0 * eta * math.log(2.0))):
+        raise DomainError(f"eta = {eta!r} is too small: the k-sum at Re(z) = {sigma} "
+                          "leaves the float range")
+
+
 def _k_sum(z: complex, eta: float, tol: float, max_n: int) -> Tuple[float, float]:
     """sum_{k>=1} -Re zeta'/zeta(z + 2k*eta) with an achieved error bound.
 
@@ -254,7 +268,9 @@ def _k_sum(z: complex, eta: float, tol: float, max_n: int) -> Tuple[float, float
     sum_n Lambda(n) cos(t log n) n^(-s) / (1 - n^(-2*eta)), truncated at one
     N <= max_n.  Every n > N has 1 - n^(-2*eta) >= 1 - (N+1)^(-2*eta), so
     tail_bound(N, s) over that bounds the rest, and it is <= tol if N < max_n.
+    Raises DomainError first if the sum leaves the float range.
     """
+    _check_k_sum_range(z.real, eta)
     s, t = z.real + 2.0 * eta, z.imag
     N = min(_n_for_tail(s, tol * -math.expm1(-2.0 * eta * math.log(2.0))), max_n)
     _, lam, log_n = _CACHE.upto(N)
@@ -290,7 +306,9 @@ def lemma_rhs(z: complex, eta: float, tol: float) -> Tuple[float, float]:
     The integrand is log|zeta| on the line Re = Re(z) + eta weighted by
     cosh^-2; |log|zeta(s)|| <= log zeta(Re s) bounds the truncated wings
     via int_{|u|>U} cosh^-2 = 2(1 - tanh U) <= 4 e^{-2U}.  Raises
-    QuadratureError if the quadrature's error estimate stays above eta*tol.
+    QuadratureError if the quadrature's error estimate stays above eta*tol,
+    and DomainError if eta is so small that the k-sum or U leaves the float
+    range.
     """
     z = complex(z)
     if z.real < DESK_RE_MIN:
@@ -298,10 +316,14 @@ def lemma_rhs(z: complex, eta: float, tol: float) -> Tuple[float, float]:
     if eta <= 0:
         raise ValueError("eta must be positive")
     _check_tol(tol)
+    _check_k_sum_range(z.real, eta)
     sigma_line = z.real + eta
     sup_log = math.log(zeta_em(complex(sigma_line)).real)
     # truncation: sup_log * 4*exp(-2U) / (4*eta) <= tol/2
-    U = 0.5 * math.log(max(2.0 * sup_log / (eta * tol), 10.0))
+    U = 0.5 * math.log(max(2.0 * sup_log / (eta * tol), 10.0)) if eta * tol else math.inf
+    if U == math.inf:
+        raise DomainError(f"eta = {eta!r} is too small at tol = {tol!r}: the integral's "
+                          "truncation point leaves the float range")
     trunc = sup_log * 4.0 * math.exp(-2.0 * U) / (4.0 * eta)
 
     def integrand(u):
@@ -403,14 +425,14 @@ def applied_trig_sum(
     cosine per point by t_0 = w, t_1 = w c, t_{j+1} = 2c t_j - t_{j-1}
     (no cosine at all when y = 0).  The sieve route evaluates
     sum_n w p(phi) directly, a sum of nonnegative terms whenever p is
-    nonnegative.
+    nonnegative, by eval_poly's kernel on the same cosines.  p's
+    nonnegativity certificate is p.nonneg, computed once per object.
     """
     if x < DESK_RE_MIN:
         raise DomainError(f"x = {x} below the desk-scale window {DESK_RE_MIN}")
     _check_tol(tol)
     _check_max_n(max_n)
-    cert = verify_nonneg(p)
-    if not isinstance(cert, Certificate):
+    if not isinstance(p.nonneg, Certificate):
         raise ValueError("p must pass the nonnegativity check")
     N = min(_n_for_tail(x, tol), max_n)
     b = p.coeffs
@@ -422,8 +444,12 @@ def applied_trig_sum(
     for a in range(0, len(lam), _EVAL_BLOCK):
         blk = slice(a, a + _EVAL_BLOCK)
         w, phi = lam[blk] * np.exp(-x * log_n[blk]), y * log_n[blk]
-        sieve_terms[blk] = w * eval_poly(p, phi)
-        c = np.cos(phi) if y else 1.0  # at y = 0 every t_j is exactly w
+        if y:  # one cosine per point, for both routes
+            c = np.cos(phi)
+            sieve_terms[blk] = w * _eval_cos(b, phi, c)
+        else:  # every t_j is exactly w
+            c = 1.0
+            sieve_terms[blk] = w * eval_poly(p, phi)
         two_c = c + c
         prev, t = w, w * c
         terms[0] += np.sum(w)

@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import zetafree.cli as cli
+from zetafree import quadrature
 from zetafree.mollifier import MollifierShape, g_eval, w_eval
 from zetafree.cli import dumps_canonical, main, parse_config
 from zetafree.zetanum import VerificationReport
@@ -266,6 +268,33 @@ def test_domain_error_exits_one(capsys):
     # b1/b0 outside the admissible ratio window
     assert main(["eval-poly", "--coeffs", "4,3,1"]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def _tiny_eta_argv(eta):
+    return ["verify-lemma", "--sigma", "1.5", "--eta", eta, "--tol", "1e-3", "--max-n", "1e3"]
+
+
+def test_eta_below_the_float_range_exits_one_without_output(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(_tiny_eta_argv("1e-310")) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: eta = 1e-310 is too small: the k-sum at Re(z) = 1.5 "
+                            "leaves the float range\n")
+
+
+def test_tiny_eta_reports_no_negative_error_bound(monkeypatch, capsys):
+    # the running sum of the quadrature's estimates went below 0 within 100
+    # panels here; a 200-panel cap keeps the test short
+    monkeypatch.setattr(quadrature, "MAX_PANELS", 200)
+    code = main(_tiny_eta_argv("1e-200"))
+    captured = capsys.readouterr()
+    if code == 0:
+        assert json.loads(captured.out)["result"]["rhs_error_bound"] >= 0.0
+    else:
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith("error: quadrature stopped at the 200-panel cap")
 
 
 # ---------------------------------------------------------------------------

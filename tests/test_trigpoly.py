@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import pickle
 import time
 from fractions import Fraction
 
@@ -9,6 +11,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial.chebyshev import poly2cheb
 
+import zetafree.trigpoly as trigpoly
 from zetafree.errors import DegreeOverflowError
 from zetafree.trigpoly import (
     GRID_POINTS,
@@ -330,6 +333,42 @@ def test_verify_nonneg_tol_must_be_finite_and_nonnegative(tol):
 
 def test_verify_nonneg_accepts_zero_tol():
     assert isinstance(verify_nonneg(CLASSICAL, tol=0.0), Certificate)
+
+
+def _count_verify_nonneg(monkeypatch):
+    """Route trigpoly.verify_nonneg through a counter; returns the call list."""
+    calls = []
+
+    def counted(p, *args, **kwargs):
+        calls.append(p)
+        return verify_nonneg(p, *args, **kwargs)
+
+    monkeypatch.setattr(trigpoly, "verify_nonneg", counted)
+    return calls
+
+
+@pytest.mark.parametrize("coeffs", [(3.0, 4.0, 1.0), (1.0, 1.9)])
+def test_nonneg_is_the_default_check_computed_once(monkeypatch, coeffs):
+    p = CosinePolynomial(coeffs)
+    calls = _count_verify_nonneg(monkeypatch)
+    first = p.nonneg
+    assert p.nonneg is first
+    assert first == verify_nonneg(p)
+    assert calls == [p]
+
+
+def test_nonneg_is_not_part_of_the_value(monkeypatch):
+    p = CosinePolynomial((3.0, 4.0, 1.0))
+    before = (repr(p), p.to_json(), hash(p))
+    cert = p.nonneg
+    assert (repr(p), p.to_json(), hash(p)) == before
+    assert p == CosinePolynomial((3.0, 4.0, 1.0))
+    assert [f.name for f in dataclasses.fields(p)] == ["coeffs"]
+    q = pickle.loads(pickle.dumps(p))
+    calls = _count_verify_nonneg(monkeypatch)
+    assert q == p and hash(q) == hash(p) and repr(q) == repr(p)
+    assert q.nonneg == cert
+    assert calls == []
 
 
 def test_invalid_inputs():

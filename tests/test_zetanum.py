@@ -7,16 +7,26 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import zetafree.trigpoly as trigpoly
 from zetafree import quadrature
+from zetafree.asymptotics import check_objective_input
 from zetafree.errors import CapacityError, DomainError, QuadratureError
 from zetafree.mollifier import _bernoulli
-from zetafree.trigpoly import MAX_DEGREE, CosinePolynomial, ProductForm, eval_poly, expand_product
+from zetafree.trigpoly import (
+    MAX_DEGREE,
+    CosinePolynomial,
+    ProductForm,
+    eval_poly,
+    expand_product,
+    verify_nonneg,
+)
 from zetafree.zetanum import (
     _BERN,
     _CACHE,
     _EM_ORDER,
     _EVAL_BLOCK,
     _PrimePowerCache,
+    _check_k_sum_range,
     _k_sum,
     _lambda_sum,
     _n_for_tail,
@@ -498,6 +508,136 @@ def test_sieve_route_is_blockwise_eval_poly(N):
     vals = np.concatenate([eval_poly(D9, y * log_n[a : a + _EVAL_BLOCK])
                            for a in range(0, len(n), _EVAL_BLOCK)])
     assert report.rhs == float(np.sum(weights * vals))
+
+
+def _applied_trig_two_cosines(p, x, y, N):
+    """(lhs, rhs) by applied_trig_sum's block loop with eval_poly taking its
+    own cosine, as applied_trig_sum once computed them."""
+    _, lam, log_n = _CACHE.upto(N)
+    b = p.coeffs
+    sieve_terms = np.empty_like(lam)
+    terms = np.zeros(len(b))
+    for a in range(0, len(lam), _EVAL_BLOCK):
+        blk = slice(a, a + _EVAL_BLOCK)
+        w, phi = lam[blk] * np.exp(-x * log_n[blk]), y * log_n[blk]
+        sieve_terms[blk] = w * eval_poly(p, phi)
+        c = np.cos(phi) if y else 1.0
+        two_c = c + c
+        prev, t = w, w * c
+        terms[0] += np.sum(w)
+        terms[1] += np.sum(t)
+        for j in range(2, len(b)):
+            prev, t = t, two_c * t - prev
+            terms[j] += np.sum(t)
+    return sum(bj * float(s) for bj, s in zip(b, terms)), float(np.sum(sieve_terms))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([CosinePolynomial((3.0, 4.0, 1.0)), D5, D9, D32]), st.floats(1.25, 3.0),
+       st.one_of(st.just(0.0), st.floats(0.0, 50.0)), st.integers(2, 3 * 10**6))
+@example(D5, 1.3, 0.0, _TWO_BLOCKS_N)
+@example(D9, 1.25, 49.9, _TWO_BLOCKS_N)
+def test_both_routes_are_bit_identical_to_two_cosines_per_point(p, x, y, N):
+    report = applied_trig_sum(p, x, y, tol=1e-15, max_n=N)
+    assert (report.lhs, report.rhs) == _applied_trig_two_cosines(p, x, y, N)
+
+
+def test_applied_trig_sum_takes_one_cosine_per_point(monkeypatch):
+    N, p = 10**6, D9
+    p.nonneg  # the certificate's own cosines are not counted
+    n, _, _ = _CACHE.upto(N)
+    sizes = {"cos": 0, "sin": 0}
+    for name in sizes:
+        ufunc = getattr(np, name)
+
+        def counted(arg, *args, _name=name, _ufunc=ufunc, **kwargs):
+            sizes[_name] += np.size(arg)
+            return _ufunc(arg, *args, **kwargs)
+
+        monkeypatch.setattr(np, name, counted)
+    applied_trig_sum(p, 1.3, 14.13, tol=1e-15, max_n=N)
+    # one cosine of each y log n, and one sine and cosine of each half
+    # angle that eval_poly's kernel sums again near cos = +-1
+    assert sizes["cos"] == len(n) + sizes["sin"]
+
+
+def _count_verify_nonneg(monkeypatch):
+    calls = []
+
+    def counted(p, *args, **kwargs):
+        calls.append(p)
+        return verify_nonneg(p, *args, **kwargs)
+
+    monkeypatch.setattr(trigpoly, "verify_nonneg", counted)
+    return calls
+
+
+def test_applied_trig_sum_checks_each_polynomial_object_once(monkeypatch):
+    calls = _count_verify_nonneg(monkeypatch)
+    p = CosinePolynomial((3.0, 4.0, 1.0))
+    for i in range(20):
+        assert applied_trig_sum(p, 1.5 + 0.05 * i, 2.5 * i, tol=1e-3, max_n=10**4).passed
+    check_objective_input(p)
+    assert calls == [p]
+    q1, q2 = CosinePolynomial((3.0, 4.0, 1.0)), CosinePolynomial((3.0, 4.0, 1.0))
+    applied_trig_sum(q1, 2.0, 1.0, tol=1e-3, max_n=10**4)
+    applied_trig_sum(q2, 2.0, 1.0, tol=1e-3, max_n=10**4)
+    assert len(calls) == 3 and calls[1] is q1 and calls[2] is q2
+
+
+def test_applied_trig_sum_refuses_a_failing_polynomial_on_every_call(monkeypatch):
+    calls = _count_verify_nonneg(monkeypatch)
+    p = CosinePolynomial((1.0, 1.9))
+    for _ in range(3):
+        with pytest.raises(ValueError, match="nonnegativity check"):
+            applied_trig_sum(p, 2.0, 1.0, tol=1e-3, max_n=10**4)
+    assert calls == [p]
+
+
+# ---------------------------------------------------------------------------
+# eta too small for the float range
+# ---------------------------------------------------------------------------
+
+_CALLS_WITH_ETA = {
+    "lemma_lhs": lambda eta: lemma_lhs(1.5, eta, 1e-3, max_n=1000),
+    "lemma_rhs": lambda eta: lemma_rhs(1.5, eta, 1e-3),
+    "lemma_check": lambda eta: lemma_check(1.5, eta, tol=1e-3, max_n=1000),
+    "midpoint_bound_check": lambda eta: midpoint_bound_check(1.5, eta, tol=1e-3, max_n=1000),
+}
+
+
+@pytest.mark.parametrize("eta", [1e-310, 5e-324])
+@pytest.mark.parametrize("name", sorted(_CALLS_WITH_ETA))
+def test_eta_below_the_float_range_is_a_domain_error(name, eta):
+    with pytest.raises(DomainError, match=f"eta = {eta!r} is too small"):
+        _CALLS_WITH_ETA[name](eta)
+
+
+@pytest.mark.parametrize("sigma, eta", sorted(
+    {(sigma, eta) for sigma in (1.3, 1.5, 2.0) for eta in (0.05, 0.1, 0.25, 0.5, 1e-200)}))
+def test_lemma_grid_and_tiny_eta_are_in_the_float_range(sigma, eta):
+    _check_k_sum_range(sigma, eta)
+
+
+def test_eta_1e_200_is_accepted(monkeypatch):
+    value, err = lemma_lhs(1.5, 1e-200, 1e-3, max_n=1000)
+    assert 0.0 < value < math.inf and 0.0 < err < math.inf
+    assert midpoint_bound_check(1.5, 1e-200, tol=1e-3, max_n=1000).lhs == value
+    # the integral side runs, and misses its far-too-small target
+    monkeypatch.setattr(quadrature, "MAX_PANELS", 2)
+    with pytest.raises(QuadratureError):
+        lemma_rhs(1.5, 1e-200, 1e-3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.floats(-323.0, -280.0), _SIGMA, _T, st.integers(1, 10**4))
+def test_k_sum_is_finite_or_refused(log10_eta, sigma, t, max_n):
+    eta = 10.0**log10_eta
+    try:
+        value, err = lemma_lhs(complex(sigma, t), eta, 1e-3, max_n=max_n)
+    except DomainError:
+        return
+    assert math.isfinite(value) and 0.0 <= err < math.inf
 
 
 # ---------------------------------------------------------------------------
