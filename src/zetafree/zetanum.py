@@ -25,7 +25,7 @@ import numpy as np
 from .errors import CapacityError, DomainError
 from .mollifier import _bernoulli
 from .quadrature import _require_tol, adaptive_quad
-from .trigpoly import Certificate, CosinePolynomial, _eval_cos, eval_poly
+from .trigpoly import Certificate, CosinePolynomial, _eval_cos
 
 DEFAULT_MAX_N = 10**8
 SERIES_RE_MIN = 1.1
@@ -307,8 +307,8 @@ def lemma_rhs(z: complex, eta: float, tol: float) -> Tuple[float, float]:
     cosh^-2; |log|zeta(s)|| <= log zeta(Re s) bounds the truncated wings
     via int_{|u|>U} cosh^-2 = 2(1 - tanh U) <= 4 e^{-2U}.  Raises
     QuadratureError if the quadrature's error estimate stays above eta*tol,
-    and DomainError if eta is so small that the k-sum or U leaves the float
-    range.
+    and DomainError if eta is so small that U, or the bound
+    log zeta(Re z + eta) / (2*eta) on the value, leaves the float range.
     """
     z = complex(z)
     if z.real < DESK_RE_MIN:
@@ -316,9 +316,12 @@ def lemma_rhs(z: complex, eta: float, tol: float) -> Tuple[float, float]:
     if eta <= 0:
         raise ValueError("eta must be positive")
     _check_tol(tol)
-    _check_k_sum_range(z.real, eta)
     sigma_line = z.real + eta
     sup_log = math.log(zeta_em(complex(sigma_line)).real)
+    # |val| <= sup_log * int cosh^-2 = 2*sup_log, so this bounds val / (4*eta)
+    if not math.isfinite(sup_log / (2.0 * eta)):
+        raise DomainError(f"eta = {eta!r} is too small: the integral side's bound "
+                          f"log zeta({sigma_line!r}) / (2*eta) leaves the float range")
     # truncation: sup_log * 4*exp(-2U) / (4*eta) <= tol/2
     U = 0.5 * math.log(max(2.0 * sup_log / (eta * tol), 10.0)) if eta * tol else math.inf
     if U == math.inf:
@@ -423,7 +426,7 @@ def applied_trig_sum(
     series at each shifted point: term j is sum_n w cos(j phi), and with
     c = cos phi, cos(j phi) = T_j(c), so the block's terms come from one
     cosine per point by t_0 = w, t_1 = w c, t_{j+1} = 2c t_j - t_{j-1}
-    (no cosine at all when y = 0).  The sieve route evaluates
+    (exactly w at y = 0, where c = 1).  The sieve route evaluates
     sum_n w p(phi) directly, a sum of nonnegative terms whenever p is
     nonnegative, by eval_poly's kernel on the same cosines.  p's
     nonnegativity certificate is p.nonneg, computed once per object.
@@ -444,12 +447,8 @@ def applied_trig_sum(
     for a in range(0, len(lam), _EVAL_BLOCK):
         blk = slice(a, a + _EVAL_BLOCK)
         w, phi = lam[blk] * np.exp(-x * log_n[blk]), y * log_n[blk]
-        if y:  # one cosine per point, for both routes
-            c = np.cos(phi)
-            sieve_terms[blk] = w * _eval_cos(b, phi, c)
-        else:  # every t_j is exactly w
-            c = 1.0
-            sieve_terms[blk] = w * eval_poly(p, phi)
+        c = np.cos(phi)  # one cosine per point, for both routes
+        sieve_terms[blk] = w * _eval_cos(b, phi, c)
         two_c = c + c
         prev, t = w, w * c
         terms[0] += np.sum(w)

@@ -11,7 +11,6 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial.chebyshev import poly2cheb
 
-import zetafree.trigpoly as trigpoly
 from zetafree.errors import DegreeOverflowError
 from zetafree.trigpoly import (
     GRID_POINTS,
@@ -335,29 +334,18 @@ def test_verify_nonneg_accepts_zero_tol():
     assert isinstance(verify_nonneg(CLASSICAL, tol=0.0), Certificate)
 
 
-def _count_verify_nonneg(monkeypatch):
-    """Route trigpoly.verify_nonneg through a counter; returns the call list."""
-    calls = []
-
-    def counted(p, *args, **kwargs):
-        calls.append(p)
-        return verify_nonneg(p, *args, **kwargs)
-
-    monkeypatch.setattr(trigpoly, "verify_nonneg", counted)
-    return calls
-
-
 @pytest.mark.parametrize("coeffs", [(3.0, 4.0, 1.0), (1.0, 1.9)])
-def test_nonneg_is_the_default_check_computed_once(monkeypatch, coeffs):
+def test_nonneg_is_the_default_check_computed_once(verify_nonneg_calls, coeffs):
+    calls = verify_nonneg_calls
     p = CosinePolynomial(coeffs)
-    calls = _count_verify_nonneg(monkeypatch)
     first = p.nonneg
     assert p.nonneg is first
     assert first == verify_nonneg(p)
     assert calls == [p]
 
 
-def test_nonneg_is_not_part_of_the_value(monkeypatch):
+def test_nonneg_is_not_part_of_the_value(verify_nonneg_calls):
+    calls = verify_nonneg_calls
     p = CosinePolynomial((3.0, 4.0, 1.0))
     before = (repr(p), p.to_json(), hash(p))
     cert = p.nonneg
@@ -365,10 +353,9 @@ def test_nonneg_is_not_part_of_the_value(monkeypatch):
     assert p == CosinePolynomial((3.0, 4.0, 1.0))
     assert [f.name for f in dataclasses.fields(p)] == ["coeffs"]
     q = pickle.loads(pickle.dumps(p))
-    calls = _count_verify_nonneg(monkeypatch)
     assert q == p and hash(q) == hash(p) and repr(q) == repr(p)
     assert q.nonneg == cert
-    assert calls == []
+    assert calls == [p]  # q kept p's certificate
 
 
 def test_invalid_inputs():

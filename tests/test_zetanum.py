@@ -7,19 +7,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import zetafree.trigpoly as trigpoly
 from zetafree import quadrature
 from zetafree.asymptotics import check_objective_input
 from zetafree.errors import CapacityError, DomainError, QuadratureError
 from zetafree.mollifier import _bernoulli
-from zetafree.trigpoly import (
-    MAX_DEGREE,
-    CosinePolynomial,
-    ProductForm,
-    eval_poly,
-    expand_product,
-    verify_nonneg,
-)
+from zetafree.trigpoly import MAX_DEGREE, CosinePolynomial, ProductForm, eval_poly, expand_product
 from zetafree.zetanum import (
     _BERN,
     _CACHE,
@@ -542,7 +534,8 @@ def test_both_routes_are_bit_identical_to_two_cosines_per_point(p, x, y, N):
     assert (report.lhs, report.rhs) == _applied_trig_two_cosines(p, x, y, N)
 
 
-def test_applied_trig_sum_takes_one_cosine_per_point(monkeypatch):
+@pytest.mark.parametrize("y", [14.13, 0.0])
+def test_applied_trig_sum_takes_one_cosine_per_point(monkeypatch, y):
     N, p = 10**6, D9
     p.nonneg  # the certificate's own cosines are not counted
     n, _, _ = _CACHE.upto(N)
@@ -555,25 +548,15 @@ def test_applied_trig_sum_takes_one_cosine_per_point(monkeypatch):
             return _ufunc(arg, *args, **kwargs)
 
         monkeypatch.setattr(np, name, counted)
-    applied_trig_sum(p, 1.3, 14.13, tol=1e-15, max_n=N)
+    applied_trig_sum(p, 1.3, y, tol=1e-15, max_n=N)
     # one cosine of each y log n, and one sine and cosine of each half
-    # angle that eval_poly's kernel sums again near cos = +-1
+    # angle that eval_poly's kernel sums again near cos = +-1 (every point
+    # at y = 0)
     assert sizes["cos"] == len(n) + sizes["sin"]
 
 
-def _count_verify_nonneg(monkeypatch):
-    calls = []
-
-    def counted(p, *args, **kwargs):
-        calls.append(p)
-        return verify_nonneg(p, *args, **kwargs)
-
-    monkeypatch.setattr(trigpoly, "verify_nonneg", counted)
-    return calls
-
-
-def test_applied_trig_sum_checks_each_polynomial_object_once(monkeypatch):
-    calls = _count_verify_nonneg(monkeypatch)
+def test_applied_trig_sum_checks_each_polynomial_object_once(verify_nonneg_calls):
+    calls = verify_nonneg_calls
     p = CosinePolynomial((3.0, 4.0, 1.0))
     for i in range(20):
         assert applied_trig_sum(p, 1.5 + 0.05 * i, 2.5 * i, tol=1e-3, max_n=10**4).passed
@@ -585,8 +568,8 @@ def test_applied_trig_sum_checks_each_polynomial_object_once(monkeypatch):
     assert len(calls) == 3 and calls[1] is q1 and calls[2] is q2
 
 
-def test_applied_trig_sum_refuses_a_failing_polynomial_on_every_call(monkeypatch):
-    calls = _count_verify_nonneg(monkeypatch)
+def test_applied_trig_sum_refuses_a_failing_polynomial_on_every_call(verify_nonneg_calls):
+    calls = verify_nonneg_calls
     p = CosinePolynomial((1.0, 1.9))
     for _ in range(3):
         with pytest.raises(ValueError, match="nonnegativity check"):
@@ -617,6 +600,12 @@ def test_eta_below_the_float_range_is_a_domain_error(name, eta):
     {(sigma, eta) for sigma in (1.3, 1.5, 2.0) for eta in (0.05, 0.1, 0.25, 0.5, 1e-200)}))
 def test_lemma_grid_and_tiny_eta_are_in_the_float_range(sigma, eta):
     _check_k_sum_range(sigma, eta)
+
+
+def test_lemma_rhs_names_its_own_overflow():
+    # eta*tol is fine here, so U is finite; only val / (4*eta) would overflow
+    with pytest.raises(DomainError, match=r"integral side's bound log zeta\(1\.5\) / \(2\*eta\)"):
+        lemma_rhs(1.5, 1e-310, 1e3)
 
 
 def test_eta_1e_200_is_accepted(monkeypatch):
