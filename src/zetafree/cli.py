@@ -4,10 +4,14 @@ Subcommands: optimize, eval-poly, verify-lemma, verify-trig, region,
 mollifier-table.  An optional flat JSON config file supplies defaults:
 its values are parsed as flags placed before the explicit ones, so they
 get the same checks and explicit flags win.  Every float value must be
-finite: the library checks --tol and --lam, the parser all the others.
-JSON output is canonical (sorted keys, floats at 17 significant digits)
-so identical runs are byte-identical.  Exit codes: 0 success, 1
-validation error, 2 verification failure.
+finite: the library checks --tol and --lam, the parser all the others,
+and --max-n must also be a whole number.
+
+Each runner takes the parsed Namespace and returns its output, a result
+dict or the finished CSV or text, with its exit code; `run` alone writes
+it.  JSON output is canonical (sorted keys, floats at 17 significant
+digits) so identical runs are byte-identical.  Exit codes: 0 success,
+1 validation error, 2 verification failure.
 """
 
 import argparse
@@ -18,8 +22,7 @@ import math
 import sys
 
 import numpy as np
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from . import __version__
 from .asymptotics import (
@@ -48,15 +51,6 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # exit code 1, not argparse's 2
         raise UsageError(message)
-
-
-@dataclass
-class RunConfig:
-    command: str
-    params: Dict[str, object]
-    seed: int = 0
-    output_format: str = "json"
-    output_path: Optional[str] = None
 
 
 # ---------------------------------------------------------------------------
@@ -133,12 +127,24 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _coeff_list(text: str) -> List[float]:
-    """Comma-separated finite floats; an empty entry is an error."""
+def _whole_number(text: str) -> float:
+    """--max-n: a finite float with no fractional part, such as 1e7."""
+    value = _finite_float(text)
+    if not value.is_integer():
+        raise argparse.ArgumentTypeError(f"not a whole number: {text!r}")
+    return value
+
+
+def _number_list(flag: str, text: str) -> List[float]:
+    """The comma-separated finite floats of a list flag; an empty entry is an error."""
     try:
         return [_finite_float(x) for x in text.split(",")]
     except argparse.ArgumentTypeError:
-        raise UsageError(f"bad coefficient list: {text!r}")
+        raise UsageError(f"bad {flag} list: {text!r}")
+
+
+def _poly(args: argparse.Namespace) -> CosinePolynomial:
+    return CosinePolynomial(tuple(_number_list("--coeffs", args.coeffs)))
 
 
 def build_parser() -> _Parser:
@@ -171,14 +177,14 @@ def build_parser() -> _Parser:
     p.add_argument("--t", type=_finite_float, default=0.0)
     p.add_argument("--eta", type=_finite_float, required=True)
     p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--max-n", type=_finite_float, default=DEFAULT_MAX_N)
+    p.add_argument("--max-n", type=_whole_number, default=DEFAULT_MAX_N)
 
     p = command("verify-trig", ("json",))
     p.add_argument("--coeffs", required=True)
     p.add_argument("--x", type=_finite_float, required=True)
     p.add_argument("--y", type=_finite_float, required=True)
     p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--max-n", type=_finite_float, default=DEFAULT_MAX_N)
+    p.add_argument("--max-n", type=_whole_number, default=DEFAULT_MAX_N)
 
     p = command("region", ("json", "csv"))
     p.add_argument("--coeffs", required=True)
@@ -195,7 +201,7 @@ def build_parser() -> _Parser:
     return parser
 
 
-def parse_config(argv: Sequence[str]) -> RunConfig:
+def parse_config(argv: Sequence[str]) -> argparse.Namespace:
     """Parse the flags, with the optional config file's values as defaults.
 
     The file's values become flags inserted right after the subcommand.
@@ -216,16 +222,7 @@ def parse_config(argv: Sequence[str]) -> RunConfig:
             raise UsageError(
                 f"degree {args.degree} conflicts with half-angle-factor={args.half_angle_factor}"
             )
-
-    params = {k.replace("_", "-"): v for k, v in vars(args).items()
-              if k not in ("command", "config", "seed", "format", "output")}
-    return RunConfig(
-        command=args.command,
-        params=params,
-        seed=args.seed,
-        output_format=args.format,
-        output_path=args.output,
-    )
+    return args
 
 
 def _command_index(argv: List[str]) -> int:
@@ -265,127 +262,58 @@ def _config_flags(args: argparse.Namespace) -> List[str]:
 # Dispatch
 # ---------------------------------------------------------------------------
 
-def _document(config: RunConfig, result: dict) -> dict:
-    return {
-        "config": {
-            "command": config.command,
-            "params": config.params,
-            "seed": config.seed,
-            "format": config.output_format,
-        },
-        "version": __version__,
-        "result": result,
-    }
+def _run_optimize(args: argparse.Namespace):
+    res = optimize(degree=args.degree, half_angle_factor=args.half_angle_factor,
+                   starts=args.starts, seed=args.seed, tol=args.tol)
+    if args.format == "csv":
+        return _rows_to_csv(("iteration", "M"), res.trace), 0
+    if args.format == "text":
+        return (f"M = {res.M:.6g}\nroots = {list(res.best_form.roots)}\n"
+                f"theta = {res.theta:.6g}\n"), 0
+    return {"M": res.M, "theta": res.theta, "best_form": res.best_form.to_json(),
+            "coeffs": res.best_poly.to_json(), "starts_used": res.starts_used,
+            "notes": list(res.notes)}, 0
 
 
-def _emit(config: RunConfig, text: str) -> None:
-    if config.output_path:
-        with open(config.output_path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _run_optimize(config: RunConfig):
-    res = optimize(
-        degree=int(config.params["degree"]),
-        half_angle_factor=bool(config.params["half-angle-factor"]),
-        starts=int(config.params["starts"]),
-        seed=config.seed,
-        tol=float(config.params["tol"]),
-    )
-    result = {
-        "M": res.M,
-        "theta": res.theta,
-        "best_form": res.best_form.to_json(),
-        "coeffs": res.best_poly.to_json(),
-        "starts_used": res.starts_used,
-        "notes": list(res.notes),
-    }
-    if config.output_format == "csv":
-        text = _rows_to_csv(("iteration", "M"), [(i, m) for i, m in res.trace])
-    elif config.output_format == "text":
-        text = (f"M = {res.M:.6g}\nroots = {list(res.best_form.roots)}\n"
-                f"theta = {res.theta:.6g}\n")
-    else:
-        text = dumps_canonical(_document(config, result)) + "\n"
-    _emit(config, text)
-    return 0
-
-
-def _run_eval_poly(config: RunConfig):
-    p = CosinePolynomial(tuple(_coeff_list(str(config.params["coeffs"]))))
-    B = float(config.params["B"])
+def _run_eval_poly(args: argparse.Namespace):
+    p = _poly(args)
     theta = solve_theta(p.coeffs[0], p.coeffs[1])
     check_objective_input(p)
-    result = {
-        "theta": theta,
-        "M": M_from_theta(p.coeffs, theta),
-        "C": compute_C(p, B),
-        "A": float(config.params["A"]),
-        "B": B,
-        "coeffs": p.to_json(),
-    }
-    if config.output_format == "text":
-        text = "".join(f"{k} = {v}\n" for k, v in result.items())
-    else:
-        text = dumps_canonical(_document(config, result)) + "\n"
-    _emit(config, text)
-    return 0
+    result = {"theta": theta, "M": M_from_theta(p.coeffs, theta), "C": compute_C(p, args.B),
+              "A": args.A, "B": args.B, "coeffs": p.to_json()}
+    if args.format == "text":
+        return "".join(f"{k} = {v}\n" for k, v in result.items()), 0
+    return result, 0
 
 
-def _run_verify_lemma(config: RunConfig):
-    report = lemma_check(
-        complex(float(config.params["sigma"]), float(config.params["t"])),
-        float(config.params["eta"]),
-        tol=float(config.params["tol"]),
-        max_n=int(float(config.params["max-n"])),
-    )
-    _emit(config, dumps_canonical(_document(config, report.to_json())) + "\n")
-    return 0 if report.passed else 2
+def _run_verify_lemma(args: argparse.Namespace):
+    report = lemma_check(complex(args.sigma, args.t), args.eta, tol=args.tol,
+                         max_n=int(args.max_n))
+    return report.to_json(), 0 if report.passed else 2
 
 
-def _run_verify_trig(config: RunConfig):
-    p = CosinePolynomial(tuple(_coeff_list(str(config.params["coeffs"]))))
-    report = applied_trig_sum(
-        p,
-        float(config.params["x"]),
-        float(config.params["y"]),
-        tol=float(config.params["tol"]),
-        max_n=int(float(config.params["max-n"])),
-    )
-    _emit(config, dumps_canonical(_document(config, report.to_json())) + "\n")
-    return 0 if report.passed else 2
+def _run_verify_trig(args: argparse.Namespace):
+    report = applied_trig_sum(_poly(args), args.x, args.y, tol=args.tol,
+                              max_n=int(args.max_n))
+    return report.to_json(), 0 if report.passed else 2
 
 
-def _run_region(config: RunConfig):
-    p = CosinePolynomial(tuple(_coeff_list(str(config.params["coeffs"]))))
-    t_values = _coeff_list(str(config.params["t"]))
-    rows = region_table(p, B=float(config.params["B"]), t_values=t_values)
-    if config.output_format == "csv":
-        text = _rows_to_csv(
+def _run_region(args: argparse.Namespace):
+    rows = region_table(_poly(args), B=args.B, t_values=_number_list("--t", args.t))
+    if args.format == "csv":
+        return _rows_to_csv(
             ("t", "eta", "lambda", "beta_bound", "flags"),
             [(r.t, r.eta, r.lam, r.beta_bound, ";".join(r.flags)) for r in rows],
-        )
-    else:
-        result = {"rows": [
-            {"t": r.t, "eta": r.eta, "lambda": r.lam,
-             "beta_bound": r.beta_bound, "flags": list(r.flags)}
-            for r in rows
-        ]}
-        text = dumps_canonical(_document(config, result)) + "\n"
-    _emit(config, text)
-    return 0
+        ), 0
+    return {"rows": [{"t": r.t, "eta": r.eta, "lambda": r.lam, "beta_bound": r.beta_bound,
+                      "flags": list(r.flags)} for r in rows]}, 0
 
 
-def _run_mollifier_table(config: RunConfig):
-    b0 = float(config.params["b0"])
-    b1 = float(config.params["b1"])
-    lam = float(config.params["lam"])
-    step = float(config.params["step"])
+def _run_mollifier_table(args: argparse.Namespace):
+    step = args.step
     if step <= 0:
         raise UsageError("step must be positive")
-    shape = MollifierShape.from_coeffs(b0, b1, lam=lam)
+    shape = MollifierShape.from_coeffs(args.b0, args.b1, lam=args.lam)
     support = float(shape.w_support)
     if (support + step / 2) / step >= MAX_TABLE_ROWS:
         raise UsageError(
@@ -400,14 +328,9 @@ def _run_mollifier_table(config: RunConfig):
     points = np.array(grid)
     columns = (g_eval(shape.theta, points), w_eval(shape.theta, points), shape.f_eval(points))
     rows = list(zip(grid, *(c.tolist() for c in columns)))
-    if config.output_format == "json":
-        result = {"theta": shape.theta, "lam": lam,
-                  "rows": [list(r) for r in rows]}
-        text = dumps_canonical(_document(config, result)) + "\n"
-    else:
-        text = _rows_to_csv(("u", "g", "w", "f"), rows)
-    _emit(config, text)
-    return 0
+    if args.format == "csv":
+        return _rows_to_csv(("u", "g", "w", "f"), rows), 0
+    return {"theta": shape.theta, "lam": args.lam, "rows": [list(r) for r in rows]}, 0
 
 
 _DISPATCH = {
@@ -420,15 +343,32 @@ _DISPATCH = {
 }
 
 
-def run(config: RunConfig) -> int:
-    return _DISPATCH[config.command](config)
+def run(args: argparse.Namespace) -> int:
+    """Run args.command and write its output to stdout or --output.
+
+    A result dict goes out as the canonical JSON document, with every flag
+    of the subcommand, dashed, under config.params.
+    """
+    output, code = _DISPATCH[args.command](args)
+    if isinstance(output, dict):
+        params = {k.replace("_", "-"): v for k, v in vars(args).items()
+                  if k not in ("command", "config", "seed", "format", "output")}
+        config = {"command": args.command, "params": params, "seed": args.seed,
+                  "format": args.format}
+        output = dumps_canonical({"config": config, "version": __version__,
+                                  "result": output}) + "\n"
+    if args.output:
+        with open(args.output, "w") as fh:
+            fh.write(output)
+    else:
+        sys.stdout.write(output)
+    return code
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
-        config = parse_config(argv)
-        return run(config)
+        return run(parse_config(argv))
     except (UsageError, ZetafreeError, ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

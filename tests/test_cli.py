@@ -219,24 +219,49 @@ def test_nonfinite_float_flag_exits_one(capsys, argv):
     ["verify-trig", "--coeffs", "3,4,1", "--x", "1.5", "--y", "2", "--tol", "1e-3"],
 ], ids=lambda a: a[0])
 def test_max_n_below_one_exits_one(capsys, argv, max_n):
+    # the parser refuses a fractional value, the library one below 1
     assert main([*argv, f"--max-n={max_n}"]) == 1
     captured = capsys.readouterr()
-    assert captured.out == "" and "error: max_n must be >= 1, got" in captured.err
+    message = ("error: argument --max-n: not a whole number: '0.5'" if max_n == "0.5"
+               else "error: max_n must be >= 1, got")
+    assert captured.out == "" and message in captured.err
 
 
+@pytest.mark.parametrize("max_n", ["999.9", "1.9"])
 @pytest.mark.parametrize("argv", [
-    ["eval-poly", "--coeffs", "3,,4,1"],
-    ["eval-poly", "--coeffs", "3,4,1,"],
-    ["eval-poly", "--coeffs", "3,nan,1"],
-    ["verify-trig", "--coeffs", "3,4,inf", "--x", "1.5", "--y", "2"],
-    ["region", "--coeffs", "3,4,1", "--t", ","],
-    ["region", "--coeffs", "3,4,1", "--t", "nan"],
-    ["region", "--coeffs", "3,4,1", "--t", "1e6,inf"],
-], ids=lambda a: " ".join(a))
-def test_malformed_list_exits_one(capsys, argv):
+    ["verify-lemma", "--sigma", "1.5", "--eta", "0.5", "--tol", "1e-3"],
+    ["verify-trig", "--coeffs", "3,4,1", "--x", "1.5", "--y", "2", "--tol", "1e-3"],
+], ids=lambda a: a[0])
+def test_fractional_max_n_exits_one(tmp_path, capsys, argv, max_n):
+    message = f"error: argument --max-n: not a whole number: {max_n!r}\n"
+    assert main([*argv, "--max-n", max_n]) == 1
+    assert capsys.readouterr() == ("", message)
+    # a config file's value gets the same check
+    path = _write_config(tmp_path, {"max-n": float(max_n)})
+    assert main(["--config", path, *argv]) == 1
+    assert capsys.readouterr() == ("", message)
+
+
+_MALFORMED_LISTS = [
+    ("--coeffs", ["eval-poly", "--coeffs", "3,,4,1"]),
+    ("--coeffs", ["eval-poly", "--coeffs", "3,4,1,"]),
+    ("--coeffs", ["eval-poly", "--coeffs", "3,nan,1"]),
+    ("--coeffs", ["verify-trig", "--coeffs", "3,4,inf", "--x", "1.5", "--y", "2"]),
+    ("--coeffs", ["region", "--coeffs", "3,x,1", "--t", "1e12"]),
+    ("--t", ["region", "--coeffs", "3,4,1", "--t", ","]),
+    ("--t", ["region", "--coeffs", "3,4,1", "--t", "nan"]),
+    ("--t", ["region", "--coeffs", "3,4,1", "--t", "1e6,inf"]),
+    ("--t", ["region", "--coeffs", "3,4,1", "--t", "1e12,abc"]),
+]
+
+
+@pytest.mark.parametrize("flag,argv", [pytest.param(f, a, id=" ".join(a))
+                                       for f, a in _MALFORMED_LISTS])
+def test_malformed_list_exits_one(capsys, flag, argv):
     assert main(argv) == 1
     captured = capsys.readouterr()
-    assert captured.out == "" and "bad coefficient list" in captured.err
+    assert captured.out == ""
+    assert captured.err == f"error: bad {flag} list: {argv[argv.index(flag) + 1]!r}\n"
 
 
 def test_parity_conflict_exits_one(capsys):
@@ -312,8 +337,8 @@ def test_config_supplies_defaults(tmp_path):
     cfg = parse_config(["--config", path, "verify-trig", "--coeffs", "3,4,1",
                         "--x", "9", "--y", "9"])
     # flags were explicit, so they win; tol comes from the file
-    assert cfg.params["x"] == 9.0
-    assert cfg.params["tol"] == 1e-4
+    assert cfg.x == 9.0
+    assert cfg.tol == 1e-4
 
 
 def test_config_flag_override(tmp_path):
@@ -321,14 +346,14 @@ def test_config_flag_override(tmp_path):
     cfg = parse_config(["--config", path, "optimize", "--degree", "5",
                         "--half-angle-factor", "--seed", "9"])
     assert cfg.seed == 9  # explicit flag beats the file
-    assert cfg.params["starts"] == 3
+    assert cfg.starts == 3
 
 
 def test_config_loses_to_abbreviated_flag(tmp_path):
     path = _write_config(tmp_path, {"starts": 3})
     cfg = parse_config(["--config", path, "optimize", "--degree", "5",
                         "--half-angle-factor", "--start", "9"])
-    assert cfg.params["starts"] == 9
+    assert cfg.starts == 9
 
 
 @pytest.mark.parametrize("values,argv", [
@@ -357,8 +382,8 @@ def test_config_switches(tmp_path):
     # true sets a switch, and the degree check sees it; false and null leave flags unset
     path = _write_config(tmp_path, {"half-angle-factor": True, "tol": None, "seed": False})
     cfg = parse_config(["--config=" + path, "optimize", "--degree", "5"])
-    assert cfg.params["half-angle-factor"] is True
-    assert cfg.params["tol"] == 1e-10 and cfg.seed == 0
+    assert cfg.half_angle_factor is True
+    assert cfg.tol == 1e-10 and cfg.seed == 0
 
 
 def test_config_unknown_key_rejected(tmp_path, capsys):
@@ -425,14 +450,6 @@ def test_eval_poly_deterministic_bytes(capsys):
     first = capsys.readouterr().out
     assert main(args) == 0
     assert capsys.readouterr().out == first
-
-
-def test_output_file(tmp_path, capsys):
-    out = tmp_path / "res.json"
-    assert main(["eval-poly", "--coeffs", "3,4,1", "--output", str(out)]) == 0
-    assert capsys.readouterr().out == ""
-    doc = json.loads(out.read_text())
-    assert doc["result"]["B"] == 4.45
 
 
 def test_region_csv(capsys):
@@ -608,3 +625,43 @@ def test_supported_format_is_emitted(command, fmt, capsys):
         assert "," in out.splitlines()[0] and not out.startswith("{")
     else:
         assert " = " in out.splitlines()[0]
+
+
+@pytest.mark.parametrize("command,fmt", [(c, f) for c, fmts in _FORMATS.items() for f in fmts])
+def test_output_file(command, fmt, tmp_path, capsys):
+    argv = _FORMAT_ARGV[command] + ["--format", fmt]
+    assert main(argv) == 0
+    expected = capsys.readouterr().out
+    out = tmp_path / "res.out"
+    assert main(argv + ["--output", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_text() == expected
+
+
+# config.params of each _FORMAT_ARGV command: every flag, as argparse typed it
+_CONFIG_PARAMS = {
+    "optimize": {"degree": 2, "half-angle-factor": False, "starts": 2, "tol": 1e-10},
+    "eval-poly": {"coeffs": "3,4,1", "A": 76.2, "B": 4.45},
+    "region": {"coeffs": "3,4,1", "A": 76.2, "B": 4.45, "t": "3e12"},
+    "mollifier-table": {"b0": 3.0, "b1": 4.0, "lam": 1.0, "step": 0.5},
+    "verify-lemma": {"sigma": 1.5, "t": 0.0, "eta": 0.5, "tol": 1e-3, "max-n": 100000.0},
+    "verify-trig": {"coeffs": "3,4,1", "x": 2.0, "y": 1.0, "tol": 1e-3, "max-n": 100000.0},
+}
+
+
+@pytest.mark.parametrize("command", _FORMAT_ARGV)
+def test_config_block_holds_every_flag_as_parsed(command, monkeypatch, capsys):
+    documents = []
+
+    def recording(obj):
+        documents.append(obj)
+        return dumps_canonical(obj)
+
+    monkeypatch.setattr(cli, "dumps_canonical", recording)
+    assert main(_FORMAT_ARGV[command]) == 0
+    want = {"command": command, "params": _CONFIG_PARAMS[command], "seed": 0, "format": "json"}
+    (document,) = documents
+    assert document["config"] == want
+    assert ({k: type(v) for k, v in document["config"]["params"].items()}
+            == {k: type(v) for k, v in want["params"].items()})
+    assert json.loads(capsys.readouterr().out)["config"] == want

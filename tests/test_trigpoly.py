@@ -14,6 +14,7 @@ from numpy.polynomial.chebyshev import poly2cheb
 from zetafree.errors import DegreeOverflowError
 from zetafree.trigpoly import (
     GRID_POINTS,
+    MAX_DEGREE,
     Certificate,
     CosinePolynomial,
     ProductForm,
@@ -178,10 +179,10 @@ def test_verify_nonneg_d5():
 def test_expand_always_nonneg():
     rng = np.random.default_rng(11)
     for _ in range(10):
-        m = rng.integers(1, 7)
+        m = rng.integers(1, 17)
         form = ProductForm(
             float(rng.uniform(0.1, 3.0)),
-            bool(rng.integers(0, 2)),
+            bool(rng.integers(0, 2)) and 2 * m + 1 <= MAX_DEGREE,
             tuple(rng.uniform(0.01, 3.0, size=m)),
         )
         assert isinstance(verify_nonneg(expand_product(form), tol=1e-12), Certificate)
