@@ -13,9 +13,9 @@ import math
 from dataclasses import dataclass, field
 from typing import List, Sequence, Tuple
 
-from .errors import DomainError, NonnegativityError
+from .errors import DomainError
 from .mollifier import solve_theta
-from .trigpoly import Certificate, CosinePolynomial
+from .trigpoly import CosinePolynomial, require_nonneg
 
 DEFAULT_A = 76.2
 DEFAULT_B = 4.45
@@ -35,11 +35,7 @@ def check_objective_input(p: CosinePolynomial) -> None:
     b = p.coeffs
     if b[0] <= 0 or b[1] <= 0:
         raise ValueError("b0 and b1 must be positive")
-    cert = p.nonneg
-    if not isinstance(cert, Certificate):
-        raise NonnegativityError(
-            f"polynomial dips to {cert.value:.3g} at theta={cert.theta:.6g}"
-        )
+    require_nonneg(p)
 
 
 def compute_M(p: CosinePolynomial) -> float:

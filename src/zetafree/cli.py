@@ -15,6 +15,7 @@ digits) so identical runs are byte-identical.  Exit codes: 0 success,
 """
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -330,7 +331,7 @@ def _run_mollifier_table(args: argparse.Namespace):
     rows = list(zip(grid, *(c.tolist() for c in columns)))
     if args.format == "csv":
         return _rows_to_csv(("u", "g", "w", "f"), rows), 0
-    return {"theta": shape.theta, "lam": args.lam, "rows": [list(r) for r in rows]}, 0
+    return {"theta": shape.theta, "lam": args.lam, "rows": rows}, 0
 
 
 _DISPATCH = {
@@ -346,22 +347,24 @@ _DISPATCH = {
 def run(args: argparse.Namespace) -> int:
     """Run args.command and write its output to stdout or --output.
 
-    A result dict goes out as the canonical JSON document, with every flag
-    of the subcommand, dashed, under config.params.
+    --output is opened, and truncated, before the subcommand runs.  A result
+    dict goes out as the canonical JSON document, with every flag of the
+    subcommand, dashed, under config.params.
     """
-    output, code = _DISPATCH[args.command](args)
-    if isinstance(output, dict):
-        params = {k.replace("_", "-"): v for k, v in vars(args).items()
-                  if k not in ("command", "config", "seed", "format", "output")}
-        config = {"command": args.command, "params": params, "seed": args.seed,
-                  "format": args.format}
-        output = dumps_canonical({"config": config, "version": __version__,
-                                  "result": output}) + "\n"
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(output)
-    else:
-        sys.stdout.write(output)
+    try:
+        out = open(args.output, "w") if args.output else contextlib.nullcontext(sys.stdout)
+    except OSError as exc:
+        raise UsageError(f"cannot write --output: {exc}")
+    with out as fh:
+        output, code = _DISPATCH[args.command](args)
+        if isinstance(output, dict):
+            params = {k.replace("_", "-"): v for k, v in vars(args).items()
+                      if k not in ("command", "config", "seed", "format", "output")}
+            config = {"command": args.command, "params": params, "seed": args.seed,
+                      "format": args.format}
+            output = dumps_canonical({"config": config, "version": __version__,
+                                      "result": output}) + "\n"
+        fh.write(output)
     return code
 
 

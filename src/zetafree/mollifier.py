@@ -11,7 +11,7 @@ and F, W are the Laplace transforms of f and w.  g is a trigonometric
 polynomial on its support, so w is elementary and w_eval evaluates it in
 closed form; F(0) and -W'(0) have closed forms too, taken from series where
 they cancel.  W, and F through it, is one adaptive quadrature of
-w(u)*exp(-s*u) over the compact support.
+w(u)*exp(-s*u) over the compact support, to the fixed absolute error W_TOL.
 """
 
 import math
@@ -25,6 +25,8 @@ from .errors import RatioOutOfRangeError
 from .quadrature import _require_tol, adaptive_quad
 
 RATIO_WINDOW = (1.0, 3.0)
+# W_eval's quadrature target, an absolute error
+W_TOL = 1e-11
 
 # The shape equation reads h(theta) = b1/b0 with
 #     h(theta) = sin^2(theta) / (1 - theta*cot(theta)),
@@ -271,16 +273,16 @@ def negWprime0_closed(theta: float) -> float:
     return numerator / (3.0 * math.sin(theta) ** 3 * math.cos(theta))
 
 
-def W_eval(theta: float, s, tol: float = 1e-11) -> complex:
+def W_eval(theta: float, s) -> complex:
     """Laplace transform of w: integral of w(u)*exp(-s*u) over the support.
 
-    Raises QuadratureError if the quadrature's error estimate stays above tol.
+    Raises QuadratureError if the quadrature's error estimate stays above W_TOL.
     """
     sup = 2.0 * g_support(theta)
     s = complex(s)
 
-    val, err = adaptive_quad(lambda u: w_eval(theta, u) * np.exp(-s * u), 0.0, sup, tol=tol)
-    _require_tol(err, tol)
+    val, err = adaptive_quad(lambda u: w_eval(theta, u) * np.exp(-s * u), 0.0, sup, tol=W_TOL)
+    _require_tol(err, W_TOL)
     return complex(val)
 
 

@@ -28,18 +28,20 @@ from .errors import NoFeasiblePointError
 from .mollifier import RATIO_WINDOW, solve_theta
 from .trigpoly import (
     MAX_DEGREE,
-    Certificate,
     CosinePolynomial,
     ProductForm,
     _cosine_sums,
     _power_product,
     expand_product,
+    require_nonneg,
 )
 
 ROOT_BOX = (0.01, 3.0)
 MAX_ITER = 4000
 _PENALTY = 1e9
 _FATOL = 1e-15
+# the Halton bases: one per squared factor, at most MAX_DEGREE // 2 = 16
+_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
 
 # Nelder-Mead reflection, expansion, contraction and shrink coefficients
 _RHO, _CHI, _PSI, _SIGMA = 1.0, 2.0, 0.5, 0.5
@@ -114,16 +116,6 @@ def _objective(x: Sequence[float], half: bool) -> float:
     return -M_from_sums(b0, s_tail, s_all, solve_theta(b0, b1))
 
 
-def _first_primes(count: int) -> List[int]:
-    primes: List[int] = []
-    n = 2
-    while len(primes) < count:
-        if all(n % p for p in primes):
-            primes.append(n)
-        n += 1
-    return primes
-
-
 def _scrambled_halton(dim: int, n: int, seed: int) -> np.ndarray:
     """The first n points of the dim-dimensional scrambled Halton sequence.
 
@@ -134,7 +126,8 @@ def _scrambled_halton(dim: int, n: int, seed: int) -> np.ndarray:
     """
     rng = np.random.default_rng(seed)
     points = np.zeros((n, dim))
-    for k, base in enumerate(_first_primes(dim)):
+    for k in range(dim):
+        base = _PRIMES[k]  # an IndexError above dim 16, not a column of zeros
         perms = np.repeat(np.arange(base)[None], math.ceil(54 / math.log2(base)) - 1, axis=0)
         quotient = np.arange(n)
         b2r = 1.0 / base
@@ -237,8 +230,6 @@ def optimize(
             f"degree {degree} is inconsistent with half_angle_factor={half_angle_factor}"
         )
     m = (degree - e) // 2
-    if m < 1:
-        raise ValueError("need at least one squared factor")
     if starts < 1:
         raise ValueError("starts must be >= 1")
     if not (math.isfinite(tol) and tol > 0):
@@ -270,9 +261,7 @@ def optimize(
     best = evaluate_candidate(best_form)
     if isinstance(best, Rejection):
         raise NoFeasiblePointError(f"best candidate was rejected: {best.reason}")
-    cert = best.poly.nonneg
-    if not isinstance(cert, Certificate):
-        raise NoFeasiblePointError("best candidate failed the nonnegativity check")
+    require_nonneg(best.poly)
 
     return OptimizationResult(
         best_form=best_form,

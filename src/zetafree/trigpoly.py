@@ -12,7 +12,7 @@ from typing import Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import DegreeOverflowError
+from .errors import DegreeOverflowError, NonnegativityError
 
 MAX_DEGREE = 32
 # verify_nonneg: grid points on [0, pi] that pick the candidate minima
@@ -115,6 +115,14 @@ class Violation:
 
     theta: float
     value: float
+
+
+def require_nonneg(p: CosinePolynomial) -> Certificate:
+    """p's cached certificate p.nonneg; raise NonnegativityError if p dips."""
+    cert = p.nonneg
+    if not isinstance(cert, Certificate):
+        raise NonnegativityError(f"polynomial dips to {cert.value:.3g} at theta={cert.theta:.6g}")
+    return cert
 
 
 def _clenshaw(b: Sequence[float], x: np.ndarray) -> np.ndarray:

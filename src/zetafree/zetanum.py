@@ -12,12 +12,13 @@ of the cosine-weighted sum
 
     sum_j -b_j Re zeta'/zeta(x + i j y) = sum_n Lambda(n) n^{-x} p(y log n) >= 0.
 
-All evaluators stay in the window Re(s) >= 1.25 where desk-scale tails
-are rigorous; identities that hold for every Re > 1 are checked there.
+The verifiers stay in the window Re(s) >= 1.25 where desk-scale tails are
+rigorous (the series alone in Re(s) >= 1.1); identities that hold for every
+Re > 1 are checked there.  _check_args is the one argument check.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict, Tuple
 
 import numpy as np
@@ -25,7 +26,7 @@ import numpy as np
 from .errors import CapacityError, DomainError
 from .mollifier import _bernoulli
 from .quadrature import _require_tol, adaptive_quad
-from .trigpoly import Certificate, CosinePolynomial, _eval_cos
+from .trigpoly import CosinePolynomial, _eval_cos, require_nonneg
 
 DEFAULT_MAX_N = 10**8
 SERIES_RE_MIN = 1.1
@@ -137,12 +138,15 @@ def _n_for_tail(sigma: float, tol: float) -> int:
     return hi
 
 
-def _check_tol(tol: float) -> None:
+def _check_args(name: str, re: float, floor: float, tol: float,
+                max_n: int = DEFAULT_MAX_N) -> None:
+    """The zeta-side argument checks: DomainError if the real part re, called
+    name, is below floor; ValueError unless tol is finite > 0 and max_n >= 1."""
+    if re < floor:
+        window = "convergence" if floor == SERIES_RE_MIN else "desk-scale"
+        raise DomainError(f"{name} = {re} below the {window} window {floor}")
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and > 0, got {tol!r}")
-
-
-def _check_max_n(max_n: int) -> None:
     if not max_n >= 1:
         raise ValueError(f"max_n must be >= 1, got {max_n!r}")
 
@@ -155,17 +159,11 @@ class SeriesValue:
     tail_bound: float
     N: int
 
-    def __complex__(self) -> complex:
-        return self.value
-
 
 def neg_zeta_logderiv(s: complex, tol: float, max_n: int = DEFAULT_MAX_N) -> SeriesValue:
     """-zeta'/zeta(s) as a truncated Lambda series, tail bounded by tol."""
     s = complex(s)
-    if s.real < SERIES_RE_MIN:
-        raise DomainError(f"Re(s) = {s.real} below the convergence window {SERIES_RE_MIN}")
-    _check_tol(tol)
-    _check_max_n(max_n)
+    _check_args("Re(s)", s.real, SERIES_RE_MIN, tol, max_n)
     N = _n_for_tail(s.real, tol)
     if N > max_n:
         raise CapacityError(
@@ -230,16 +228,10 @@ class VerificationReport:
     params: Dict[str, object] = field(default_factory=dict)
 
     def to_json(self) -> dict:
-        return {
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "abs_diff": self.abs_diff,
-            "lhs_error_bound": self.lhs_error_bound,
-            "rhs_error_bound": self.rhs_error_bound,
-            "pass": self.passed,
-            "kind": self.kind,
-            "params": self.params,
-        }
+        """The fields as a dict, with passed under the key "pass"."""
+        out = asdict(self)
+        out["pass"] = out.pop("passed")
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -291,12 +283,9 @@ def _k_sum(z: complex, eta: float, tol: float, max_n: int) -> Tuple[float, float
 def lemma_lhs(z: complex, eta: float, tol: float, max_n: int = DEFAULT_MAX_N) -> Tuple[float, float]:
     """Sum side of the telescoping identity; returns (value, error_bound)."""
     z = complex(z)
-    if z.real < DESK_RE_MIN:
-        raise DomainError(f"Re(z) = {z.real} below the desk-scale window {DESK_RE_MIN}")
+    _check_args("Re(z)", z.real, DESK_RE_MIN, tol, max_n)
     if eta <= 0:
         raise ValueError("eta must be positive")
-    _check_tol(tol)
-    _check_max_n(max_n)
     return _k_sum(z, eta, tol, max_n)
 
 
@@ -306,27 +295,27 @@ def lemma_rhs(z: complex, eta: float, tol: float) -> Tuple[float, float]:
     The integrand is log|zeta| on the line Re = Re(z) + eta weighted by
     cosh^-2; |log|zeta(s)|| <= log zeta(Re s) bounds the truncated wings
     via int_{|u|>U} cosh^-2 = 2(1 - tanh U) <= 4 e^{-2U}.  Raises
-    QuadratureError if the quadrature's error estimate stays above eta*tol,
-    and DomainError if eta is so small that U, or the bound
-    log zeta(Re z + eta) / (2*eta) on the value, leaves the float range.
+    QuadratureError if the quadrature's error estimate stays above eta*tol.
+    Raises DomainError if eta is so small that the bound
+    log zeta(Re z + eta) / (2*eta) on the value leaves the float range, or
+    if the target eta*tol is at or below 2**-52 times the integral's
+    bound 2*log zeta(Re z + eta), which floats cannot resolve.
     """
     z = complex(z)
-    if z.real < DESK_RE_MIN:
-        raise DomainError(f"Re(z) = {z.real} below the desk-scale window {DESK_RE_MIN}")
+    _check_args("Re(z)", z.real, DESK_RE_MIN, tol)
     if eta <= 0:
         raise ValueError("eta must be positive")
-    _check_tol(tol)
     sigma_line = z.real + eta
     sup_log = math.log(zeta_em(complex(sigma_line)).real)
     # |val| <= sup_log * int cosh^-2 = 2*sup_log, so this bounds val / (4*eta)
     if not math.isfinite(sup_log / (2.0 * eta)):
         raise DomainError(f"eta = {eta!r} is too small: the integral side's bound "
                           f"log zeta({sigma_line!r}) / (2*eta) leaves the float range")
+    if eta * tol <= 2.0 * sup_log * 2.0**-52:
+        raise DomainError(f"eta = {eta!r} is too small at tol = {tol!r}: the target eta*tol "
+                          f"is within rounding of the integral's bound 2*log zeta({sigma_line!r})")
     # truncation: sup_log * 4*exp(-2U) / (4*eta) <= tol/2
-    U = 0.5 * math.log(max(2.0 * sup_log / (eta * tol), 10.0)) if eta * tol else math.inf
-    if U == math.inf:
-        raise DomainError(f"eta = {eta!r} is too small at tol = {tol!r}: the integral's "
-                          "truncation point leaves the float range")
+    U = 0.5 * math.log(max(2.0 * sup_log / (eta * tol), 10.0))
     trunc = sup_log * 4.0 * math.exp(-2.0 * U) / (4.0 * eta)
 
     def integrand(u):
@@ -374,12 +363,9 @@ def midpoint_bound_check(
     underestimates the true sum (all dropped terms are positive), so the
     conservative margin (bounds subtracted) is reported separately.
     """
-    if sigma < DESK_RE_MIN:
-        raise DomainError(f"sigma = {sigma} below the desk-scale window {DESK_RE_MIN}")
+    _check_args("sigma", sigma, DESK_RE_MIN, tol, max_n)
     if not (0.0 < eta < 1.0):
         raise ValueError("eta must lie in (0, 1)")
-    _check_tol(tol)
-    _check_max_n(max_n)
     lhs, lerr = _k_sum(complex(sigma), eta, tol, max_n)
     rhs_val = math.log(zeta_em(complex(sigma + eta)).real) / (2.0 * eta)
     rerr = abs(rhs_val) * 1e-12
@@ -428,15 +414,12 @@ def applied_trig_sum(
     cosine per point by t_0 = w, t_1 = w c, t_{j+1} = 2c t_j - t_{j-1}
     (exactly w at y = 0, where c = 1).  The sieve route evaluates
     sum_n w p(phi) directly, a sum of nonnegative terms whenever p is
-    nonnegative, by eval_poly's kernel on the same cosines.  p's
-    nonnegativity certificate is p.nonneg, computed once per object.
+    nonnegative, by eval_poly's kernel on the same cosines.  A p that
+    dips raises NonnegativityError (require_nonneg, one certificate per
+    object).
     """
-    if x < DESK_RE_MIN:
-        raise DomainError(f"x = {x} below the desk-scale window {DESK_RE_MIN}")
-    _check_tol(tol)
-    _check_max_n(max_n)
-    if not isinstance(p.nonneg, Certificate):
-        raise ValueError("p must pass the nonnegativity check")
+    _check_args("x", x, DESK_RE_MIN, tol, max_n)
+    require_nonneg(p)
     N = min(_n_for_tail(x, tol), max_n)
     b = p.coeffs
     _, lam, log_n = _CACHE.upto(N)

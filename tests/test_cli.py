@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import zetafree.cli as cli
-from zetafree import quadrature
+from zetafree import zetanum
 from zetafree.mollifier import MollifierShape, g_eval, w_eval
 from zetafree.cli import dumps_canonical, main, parse_config
 from zetafree.zetanum import VerificationReport
@@ -310,16 +310,27 @@ def test_eta_below_the_float_range_exits_one_without_output(capsys):
 
 
 def test_tiny_eta_reports_no_negative_error_bound(monkeypatch, capsys):
-    # the running sum of the quadrature's estimates went below 0 within 100
-    # panels here; a 200-panel cap keeps the test short
-    monkeypatch.setattr(quadrature, "MAX_PANELS", 200)
-    code = main(_tiny_eta_argv("1e-200"))
+    # eta*tol = 1e-203 is far below the rounding of the integral, so
+    # lemma_rhs refuses it before any quadrature, and no bound is printed
+    monkeypatch.setattr(zetanum, "adaptive_quad", None)
+    start = time.perf_counter()
+    assert main(_tiny_eta_argv("1e-200")) == 1
+    assert time.perf_counter() - start < 1.0
     captured = capsys.readouterr()
-    if code == 0:
-        assert json.loads(captured.out)["result"]["rhs_error_bound"] >= 0.0
-    else:
-        assert code == 1 and captured.out == ""
-        assert captured.err.startswith("error: quadrature stopped at the 200-panel cap")
+    assert captured.out == ""
+    assert captured.err == ("error: eta = 1e-200 is too small at tol = 0.001: the target "
+                            "eta*tol is within rounding of the integral's bound 2*log zeta(1.5)\n")
+
+
+@pytest.mark.parametrize("command", ["eval-poly", "region", "verify-trig"])
+def test_a_dipping_polynomial_gets_one_error_from_every_command(command, capsys):
+    argv = [command, "--coeffs", "1,1.9"]
+    if command == "verify-trig":
+        argv += ["--x", "2", "--y", "1", "--tol", "1e-3", "--max-n", "1e4"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: polynomial dips to -0.9 at theta=3.14159\n"
 
 
 # ---------------------------------------------------------------------------
@@ -636,6 +647,28 @@ def test_output_file(command, fmt, tmp_path, capsys):
     assert main(argv + ["--output", str(out)]) == 0
     assert capsys.readouterr().out == ""
     assert out.read_text() == expected
+
+
+@pytest.mark.parametrize("make_path", [lambda tmp: tmp / "missing" / "x.json", lambda tmp: tmp],
+                         ids=["missing-directory", "a-directory"])
+def test_unwritable_output_fails_before_the_runner(make_path, tmp_path, monkeypatch, capsys):
+    calls = []
+    monkeypatch.setitem(cli._DISPATCH, "eval-poly", lambda args: calls.append(args))
+    path = str(make_path(tmp_path))
+    assert main(_FORMAT_ARGV["eval-poly"] + ["--output", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and calls == []
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: cannot write --output: ") and repr(path) in line
+
+
+def test_a_failed_run_leaves_an_empty_output_file(tmp_path, capsys):
+    out = tmp_path / "res.json"
+    out.write_text("old contents\n")
+    # b1/b0 outside the shape equation's window
+    assert main(["eval-poly", "--coeffs", "4,3,1", "--output", str(out)]) == 1
+    assert capsys.readouterr().out == ""
+    assert out.read_text() == ""
 
 
 # config.params of each _FORMAT_ARGV command: every flag, as argparse typed it

@@ -26,6 +26,7 @@ from zetafree.optimizer import (
     optimize,
 )
 from zetafree.trigpoly import (
+    MAX_DEGREE,
     Certificate,
     ProductForm,
     _cosine_sums,
@@ -259,6 +260,11 @@ def _scipy_nelder_mead(f, x0, f0, xatol):
 def test_halton_equals_scipy(dim):
     for seed in (0, 1, 7, 123):
         assert np.array_equal(_scrambled_halton(dim, 128, seed), _scipy_halton(dim, 128, seed))
+
+
+def test_halton_has_no_base_beyond_the_degree_cap():
+    with pytest.raises(IndexError):
+        _scrambled_halton(MAX_DEGREE // 2 + 1, 4, 0)
 
 
 @pytest.mark.parametrize("degree", range(3, 8))

@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import mpmath as mp
@@ -7,11 +8,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from zetafree import quadrature
-from zetafree.asymptotics import check_objective_input
-from zetafree.errors import CapacityError, DomainError, QuadratureError
+from zetafree import quadrature, zetanum
+from zetafree.asymptotics import check_objective_input, compute_M
+from zetafree.errors import CapacityError, DomainError, NonnegativityError, QuadratureError
 from zetafree.mollifier import _bernoulli
-from zetafree.trigpoly import MAX_DEGREE, CosinePolynomial, ProductForm, eval_poly, expand_product
+from zetafree.trigpoly import (
+    MAX_DEGREE,
+    CosinePolynomial,
+    ProductForm,
+    eval_poly,
+    expand_product,
+    require_nonneg,
+)
 from zetafree.zetanum import (
     _BERN,
     _CACHE,
@@ -572,9 +580,27 @@ def test_applied_trig_sum_refuses_a_failing_polynomial_on_every_call(verify_nonn
     calls = verify_nonneg_calls
     p = CosinePolynomial((1.0, 1.9))
     for _ in range(3):
-        with pytest.raises(ValueError, match="nonnegativity check"):
+        with pytest.raises(NonnegativityError, match="polynomial dips to"):
             applied_trig_sum(p, 2.0, 1.0, tol=1e-3, max_n=10**4)
     assert calls == [p]
+
+
+_REFUSING_A_DIP = {
+    "require_nonneg": require_nonneg,
+    "check_objective_input": check_objective_input,
+    "compute_M": compute_M,
+    "applied_trig_sum": lambda p: applied_trig_sum(p, 2.0, 1.0, tol=1e-3, max_n=10**4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_REFUSING_A_DIP))
+def test_every_entry_point_refuses_a_dip_with_one_error(name):
+    p = CosinePolynomial((1.0, 1.9))
+    cert = p.nonneg
+    want = f"polynomial dips to {cert.value:.3g} at theta={cert.theta:.6g}"
+    with pytest.raises(NonnegativityError) as excinfo:
+        _REFUSING_A_DIP[name](p)
+    assert str(excinfo.value) == want
 
 
 # ---------------------------------------------------------------------------
@@ -612,10 +638,20 @@ def test_eta_1e_200_is_accepted(monkeypatch):
     value, err = lemma_lhs(1.5, 1e-200, 1e-3, max_n=1000)
     assert 0.0 < value < math.inf and 0.0 < err < math.inf
     assert midpoint_bound_check(1.5, 1e-200, tol=1e-3, max_n=1000).lhs == value
-    # the integral side runs, and misses its far-too-small target
-    monkeypatch.setattr(quadrature, "MAX_PANELS", 2)
-    with pytest.raises(QuadratureError):
+    # the integral side refuses its far-too-small target before any quadrature
+    monkeypatch.setattr(zetanum, "adaptive_quad", None)
+    with pytest.raises(DomainError, match=r"eta = 1e-200 is too small at tol = 0\.001: "):
         lemma_rhs(1.5, 1e-200, 1e-3)
+
+
+@pytest.mark.parametrize("eta, tol", [(1e-200, 1e-3), (1e-14, 1e-3), (1e-3, 1e-14), (1e-20, 1e3)])
+def test_eta_tol_below_the_rounding_of_the_integral_is_refused_at_once(eta, tol):
+    sigma_line = 1.5 + eta
+    assert eta * tol <= 2.0 * math.log(zeta_em(sigma_line).real) * 2.0**-52
+    start = time.perf_counter()
+    with pytest.raises(DomainError, match=f"eta = {eta!r} is too small at tol = {tol!r}: "):
+        lemma_check(1.5, eta, tol=tol, max_n=1000)
+    assert time.perf_counter() - start < 1.0
 
 
 @settings(max_examples=40, deadline=None)
@@ -642,6 +678,29 @@ _CALLS_WITH_TOL = {
     "applied_trig_sum": lambda tol: applied_trig_sum(CosinePolynomial((3.0, 4.0, 1.0)),
                                                      2.0, 1.0, tol=tol),
 }
+
+
+# a call of each routine just below its window, and the exact message it raises
+_CALLS_BELOW_WINDOW = {
+    "neg_zeta_logderiv": (lambda: neg_zeta_logderiv(1.05, 1e-3),
+                          "Re(s) = 1.05 below the convergence window 1.1"),
+    "lemma_lhs": (lambda: lemma_lhs(1.2 + 10j, 0.25, 1e-3),
+                  "Re(z) = 1.2 below the desk-scale window 1.25"),
+    "lemma_rhs": (lambda: lemma_rhs(1.2 + 10j, 0.25, 1e-3),
+                  "Re(z) = 1.2 below the desk-scale window 1.25"),
+    "midpoint_bound_check": (lambda: midpoint_bound_check(1.2, 0.25, tol=1e-3),
+                             "sigma = 1.2 below the desk-scale window 1.25"),
+    "applied_trig_sum": (lambda: applied_trig_sum(CosinePolynomial((3.0, 4.0, 1.0)), 1.2, 1.0),
+                         "x = 1.2 below the desk-scale window 1.25"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CALLS_BELOW_WINDOW))
+def test_below_the_window_is_a_domain_error(name):
+    call, message = _CALLS_BELOW_WINDOW[name]
+    with pytest.raises(DomainError) as excinfo:
+        call()
+    assert str(excinfo.value) == message
 
 
 @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1.0])
