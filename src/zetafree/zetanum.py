@@ -114,23 +114,45 @@ def _lambda_sum(s: complex, N: int) -> complex:
     return complex(np.sum(lam * np.exp(-s * log_n)))
 
 
+# Rosser and Schoenfeld, "Approximate formulas for some functions of prime
+# numbers", Illinois J. Math. 6 (1962), Thm. 12: psi(x) < PSI_RATIO * x for
+# every x > 0 (the largest psi(x)/x is 1.03882... at x = 113)
+PSI_RATIO = 1.03883
+
+
 def tail_bound(N: int, sigma: float) -> float:
-    """Upper bound for sum_{n > N} log(n) * n^(-sigma), sigma > 1."""
+    """Upper bound for sum_{n > N} Lambda(n) * n^(-sigma), N >= 1, sigma > 1.
+
+    The smaller of two bounds.  Lambda(n) <= log n gives
+    N^(1-sigma) (log N/(sigma-1) + 1/(sigma-1)^2).  Partial summation gives
+    sigma * int_N^inf psi(x) x^(-sigma-1) dx, at most
+    PSI_RATIO * sigma * N^(1-sigma)/(sigma-1); it is the smaller one except at
+    small N or large sigma.  Both fall as N grows, so the minimum does too.
+    """
     if sigma <= 1:
         raise ValueError("sigma must exceed 1")
     d = sigma - 1.0
-    return N ** (-d) * (math.log(N) / d + 1.0 / d**2)
+    log_n = math.log(N)
+    try:
+        scale = N ** -d
+    except OverflowError:  # an int N beyond the float range, as _n_for_tail may try
+        scale = math.exp(-d * log_n)
+    return scale * min(log_n / d + 1.0 / d**2, PSI_RATIO * sigma / d)
 
 
 def _n_for_tail(sigma: float, tol: float) -> int:
-    """Smallest N with tail_bound(N, sigma) <= tol (may be astronomically large)."""
-    lo, hi = 2, 4
+    """Smallest N >= 1 with tail_bound(N, sigma) <= tol, however large.
+
+    Doubles N to a bracket, then bisects it, so it takes about 2*log2(N)
+    bound evaluations; tail_bound reaches 0.0 once N^(1-sigma) underflows.
+    """
+    if tail_bound(1, sigma) <= tol:
+        return 1
+    lo, hi = 1, 2  # tail_bound(lo) > tol throughout
     while tail_bound(hi, sigma) > tol:
-        lo, hi = hi, hi * 4
-        if hi > 10**30:
-            return hi
+        lo, hi = hi, hi << 1
     while hi - lo > 1:
-        mid = (lo + hi) // 2
+        mid = (lo + hi) >> 1
         if tail_bound(mid, sigma) <= tol:
             hi = mid
         else:
@@ -166,9 +188,8 @@ def neg_zeta_logderiv(s: complex, tol: float, max_n: int = DEFAULT_MAX_N) -> Ser
     _check_args("Re(s)", s.real, SERIES_RE_MIN, tol, max_n)
     N = _n_for_tail(s.real, tol)
     if N > max_n:
-        raise CapacityError(
-            f"tol {tol:.3g} at Re(s) = {s.real} needs N = {N}, above the cap {max_n}"
-        )
+        needs = f"N = {N}" if N <= 10**30 else "N above 10**30"
+        raise CapacityError(f"tol {tol:.3g} at Re(s) = {s.real} needs {needs}, above the cap {max_n}")
     return SeriesValue(value=_lambda_sum(s, N), tail_bound=tail_bound(N, s.real), N=N)
 
 
@@ -252,6 +273,12 @@ def _check_k_sum_range(sigma: float, eta: float) -> None:
                           "leaves the float range")
 
 
+def _k_sum_n(sigma: float, eta: float, tol: float, max_n: int) -> int:
+    """The k-sum's truncation N at Re z = sigma: the smallest whose bound in _k_sum
+    meets tol, capped at max_n."""
+    return min(_n_for_tail(sigma + 2.0 * eta, tol * -math.expm1(-2.0 * eta * math.log(2.0))), max_n)
+
+
 def _k_sum(z: complex, eta: float, tol: float, max_n: int) -> Tuple[float, float]:
     """sum_{k>=1} -Re zeta'/zeta(z + 2k*eta) with an achieved error bound.
 
@@ -264,7 +291,7 @@ def _k_sum(z: complex, eta: float, tol: float, max_n: int) -> Tuple[float, float
     """
     _check_k_sum_range(z.real, eta)
     s, t = z.real + 2.0 * eta, z.imag
-    N = min(_n_for_tail(s, tol * -math.expm1(-2.0 * eta * math.log(2.0))), max_n)
+    N = _k_sum_n(z.real, eta, tol, max_n)
     _, lam, log_n = _CACHE.upto(N)
     # in place, two prefix-length arrays; the denominator is -expm1 because
     # 1/expm1(2*eta*log n) overflows at large eta
@@ -346,7 +373,8 @@ def lemma_check(
         rhs_error_bound=rerr,
         passed=diff <= tol + lerr + rerr,
         kind="equality",
-        params={"z": [z.real, z.imag], "eta": eta, "tol": tol, "max_n": max_n},
+        params={"z": [z.real, z.imag], "eta": eta, "tol": tol, "max_n": max_n,
+                "N": _k_sum_n(z.real, eta, tol, max_n)},
     )
 
 
@@ -382,6 +410,7 @@ def midpoint_bound_check(
             "sigma": sigma,
             "eta": eta,
             "tol": tol,
+            "N": _k_sum_n(sigma, eta, tol, max_n),
             "margin": margin,
             "conservative_margin": margin - lerr - rerr,
         },

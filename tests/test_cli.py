@@ -558,6 +558,8 @@ def test_verify_lemma_pass(capsys):
     assert doc["result"]["pass"] is True
     assert doc["result"]["abs_diff"] <= (doc["result"]["lhs_error_bound"]
                                          + doc["result"]["rhs_error_bound"] + 1e-3)
+    # the k-sum's truncation N, far below the cap at this tol
+    assert 1 <= doc["result"]["params"]["N"] < 10**4
 
 
 def test_verify_lemma_small_eta_reports_its_bound(capsys):
@@ -566,6 +568,7 @@ def test_verify_lemma_small_eta_reports_its_bound(capsys):
     result = json.loads(capsys.readouterr().out)["result"]
     assert result["pass"] is True
     assert math.isfinite(result["lhs"]) and math.isfinite(result["lhs_error_bound"])
+    assert result["params"]["N"] == 10**5
 
 
 def test_verify_trig_pass(capsys):
@@ -573,6 +576,14 @@ def test_verify_trig_pass(capsys):
                  "--tol", "1e-3", "--max-n", "1e6"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["result"]["pass"] is True
+
+
+def test_verify_trig_reports_the_n_its_tolerance_needs(capsys):
+    assert main(["verify-trig", "--coeffs", "3,4,1", "--x", "1.75", "--y", "14.13",
+                 "--tol", "1e-3", "--max-n", "1e7"]) == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert result["pass"] is True
+    assert result["params"]["N"] == 32561
 
 
 def test_verify_failure_exits_two(monkeypatch, capsys):

@@ -21,6 +21,7 @@ from zetafree.trigpoly import (
     require_nonneg,
 )
 from zetafree.zetanum import (
+    PSI_RATIO,
     _BERN,
     _CACHE,
     _EM_ORDER,
@@ -187,6 +188,81 @@ def test_tail_bound_is_genuine():
     fine = neg_zeta_logderiv(s, 1e-5)
     assert abs(coarse.value - fine.value) <= coarse.tail_bound
     assert tail_bound(coarse.N, s.real) == pytest.approx(coarse.tail_bound)
+
+
+def test_capacity_error_names_the_n_the_tolerance_needs():
+    N = _n_for_tail(2.0, 1e-9)
+    assert tail_bound(N, 2.0) <= 1e-9 < tail_bound(N - 1, 2.0)
+    with pytest.raises(CapacityError, match=f"needs N = {N}, above the cap 100000"):
+        neg_zeta_logderiv(2.0, 1e-9, max_n=10**5)
+    # here N is about 10**49, above 10**30, so the message does not spell it out
+    assert _n_for_tail(1.2, 1e-9) > 10**30
+    with pytest.raises(CapacityError, match=r"needs N above 10\*\*30, above the cap 100000"):
+        neg_zeta_logderiv(1.2, 1e-9, max_n=10**5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(1.001, 30.0, exclude_min=True), st.floats(1e-12, 10.0))
+@example(3.0, 10.0)  # tail_bound(1, 3.0) = 0.25, so N = 1
+@example(1.0010000000000001, 1e-12)
+@example(1.25, 1e-12)
+def test_n_for_tail_is_the_smallest_n(sigma, tol):
+    N = _n_for_tail(sigma, tol)
+    assert N >= 1 and tail_bound(N, sigma) <= tol
+    assert N == 1 or tol < tail_bound(N - 1, sigma)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 10**9), st.floats(1.1, 30.0))
+@example(MAXN, 2.0)  # the benchmark's warm-up builds the 10**7 table this way
+def test_n_for_tail_inverts_tail_bound(N, sigma):
+    assert _n_for_tail(sigma, tail_bound(N, sigma)) == N
+
+
+def _old_tail_bound(N, sigma):
+    """The bound from Lambda(n) <= log n alone: N^(1-sigma) (log N/(sigma-1) + 1/(sigma-1)^2)."""
+    d = sigma - 1.0
+    return N ** (-d) * (math.log(N) / d + 1.0 / d**2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 10**15), st.floats(1.001, 30.0))
+@example(2, 2.0)
+@example(10, 3.0)
+@example(10**6, 20.0)
+def test_tail_bound_is_never_above_the_log_n_bound(N, sigma):
+    assert tail_bound(N, sigma) <= _old_tail_bound(N, sigma)
+
+
+def test_tail_bound_is_the_psi_bound_at_large_n():
+    for N, sigma in ((32561, 1.75), (10**7, 1.5), (10**7, 2.0)):
+        assert tail_bound(N, sigma) == N ** (1.0 - sigma) * (PSI_RATIO * sigma / (sigma - 1.0))
+        assert tail_bound(N, sigma) < _old_tail_bound(N, sigma) / 5.0
+    # at tol 1e-3 the log n bound alone needs N = 518,512 at 1.75 and about 2.2e9 at 1.5
+    assert _n_for_tail(1.75, 1e-3) == 32561
+    assert _n_for_tail(1.5, 1e-3) == 9712510
+
+
+def test_psi_ratio_bounds_psi_at_every_prime_power_to_1e7():
+    # psi(x)/x is largest just after a jump, so the prime powers cover every x <= 10**7
+    n, lam, _ = _CACHE.upto(MAXN)
+    ratio = np.cumsum(lam) / n
+    assert ratio.max() <= PSI_RATIO
+    assert n[np.argmax(ratio)] == 113
+    assert ratio.max() > PSI_RATIO - 1e-5
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.floats(1.25, 3.0), st.integers(10, 10**6))
+@example(1.25, 10)
+@example(1.25, 113)
+@example(3.0, 10)
+@example(3.0, 10**6)
+def test_tail_bound_covers_the_exact_tail_to_1e7(sigma, N):
+    n, lam, log_n = _CACHE.upto(MAXN)
+    above = n > N
+    exact = math.fsum(lam[above] * np.exp(-sigma * log_n[above]))
+    assert exact + tail_bound(MAXN, sigma) <= tail_bound(N, sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -416,6 +492,24 @@ def test_k_sum_closed_form_matches_per_k_series(sigma, t, eta, N):
     _, lam, log_n = _CACHE.upto(N)
     scale = float(np.sum(lam * np.exp(-sigma * log_n) / np.expm1(2.0 * eta * log_n)))
     assert abs(total - _k_sum_by_terms(z, eta, N)) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("max_n", [MAXN, 100])
+def test_k_sum_checks_report_their_truncation_n(max_n):
+    sigma, t, eta, tol = 1.5, 10.0, 0.25, 1e-3
+    lemma = lemma_check(complex(sigma, t), eta, tol=tol, max_n=max_n)
+    midpoint = midpoint_bound_check(sigma, eta, tol=tol, max_n=max_n)
+    N = lemma.params["N"]
+    assert midpoint.params["N"] == N
+    for report in (lemma, midpoint):
+        assert report.lhs_error_bound == _k_sum_bound(sigma, eta, N)
+    assert lemma.lhs == lemma_lhs(complex(sigma, t), eta, tol, max_n)[0]
+    if max_n == 100:
+        assert N == 100
+    else:
+        # the smallest N whose bound meets tol
+        s, denom = sigma + 2.0 * eta, -math.expm1(-2.0 * eta * math.log(2.0))
+        assert tail_bound(N, s) <= tol * denom < tail_bound(N - 1, s)
 
 
 def test_lemma_lhs_small_eta_reports_its_bound():
