@@ -2,10 +2,11 @@
 
 Panels are scored by the difference between 15-point and 7-point Gauss
 rules; the worst panel is split until the summed estimate meets the
-target.  Integrands must accept numpy arrays and may return complex
-values.  adaptive_quad stops at MAX_PANELS panels whether or not it met
-its target; callers that need the target check the returned estimate
-with _require_tol.
+target.  Each panel calls the integrand once, on the 22 nodes of both
+rules, so an integrand maps a 1-D numpy array of points to an array of
+the same shape; its values may be complex.  adaptive_quad stops at
+MAX_PANELS panels whether or not it met its target; callers that need
+the target check the returned estimate with _require_tol.
 """
 
 import heapq
@@ -18,6 +19,8 @@ from .errors import QuadratureError
 
 _X7, _W7 = np.polynomial.legendre.leggauss(7)
 _X15, _W15 = np.polynomial.legendre.leggauss(15)
+# the nodes of both rules, for one integrand call per panel
+_X22 = np.concatenate((_X15, _X7))
 # adaptive_quad stops splitting at this many panels
 MAX_PANELS = 4000
 
@@ -25,8 +28,9 @@ MAX_PANELS = 4000
 def _panel(f, a, b):
     h = 0.5 * (b - a)
     mid = 0.5 * (a + b)
-    v15 = h * np.sum(_W15 * f(mid + h * _X15))
-    v7 = h * np.sum(_W7 * f(mid + h * _X7))
+    y = f(mid + h * _X22)
+    v15 = h * np.sum(_W15 * y[:15])
+    v7 = h * np.sum(_W7 * y[15:])
     return v15, abs(v15 - v7)
 
 

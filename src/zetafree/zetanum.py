@@ -200,30 +200,49 @@ def neg_zeta_logderiv(s: complex, tol: float, max_n: int = DEFAULT_MAX_N) -> Ser
 _EM_ORDER = 14
 # B_0..B_{2*_EM_ORDER}, each the float nearest the exact rational
 _BERN = tuple(float(b) for b in _bernoulli(2 * _EM_ORDER))
+# the correction terms' weights B_2j/(2j)! and powers 1 - 2j of N, j = 1.._EM_ORDER
+_EM_COEF = np.array([_BERN[2 * j] / math.factorial(2 * j) for j in range(1, _EM_ORDER + 1)])
+_EM_EXP = 1.0 - 2.0 * np.arange(1, _EM_ORDER + 1)
 _EM_IM_MAX = 1e4
+# zeta_em forms its head sums over at most this many (point, n) terms at once
+_EM_BLOCK = 1 << 16
 
 
-def zeta_em(s: complex) -> complex:
-    """zeta(s) by Euler-Maclaurin, relative error <= 1e-12 in the window
-    Re(s) > 1, |Im(s)| <= 1e4."""
-    s = complex(s)
-    if s.real <= 1.0:
+def zeta_em(s):
+    """zeta(s) by Euler-Maclaurin (Edwards, Riemann's Zeta Function, 6.4),
+    relative error <= 1e-12 in the window Re(s) > 1, |Im(s)| <= 1e4.
+
+    s is a complex scalar, which gives a complex, or an array, which gives
+    a complex array of its shape.  Each point keeps its own
+    N = max(20, int(1.3 |Im s| + 10)):
+        zeta(s) = sum_{n<N} n^-s + N^-s (1/2 + N/(s-1)
+                  + sum_{j=1}^{_EM_ORDER} B_2j/(2j)! s(s+1)...(s+2j-2) N^(1-2j)).
+    The head sums come from (points x max N) arrays of n^-s, at most
+    _EM_BLOCK terms each, with the terms n >= N masked out; the correction
+    is one (points x _EM_ORDER) product.
+    """
+    arr = np.asarray(s, dtype=complex)
+    s = arr.ravel()
+    if not (s.real > 1.0).all():
         raise DomainError("Re(s) must exceed 1")
-    if abs(s.imag) > _EM_IM_MAX:
+    if not (np.abs(s.imag) <= _EM_IM_MAX).all():
         raise DomainError(f"|Im(s)| above the desk-scale window {_EM_IM_MAX}")
-    N = int(max(20, 1.3 * abs(s.imag) + 10))
-    n = np.arange(1, N)
-    total = complex(np.sum(np.exp(-s * np.log(n))))
-    total += 0.5 * N ** (-s)
-    total += N ** (1.0 - s) / (s - 1.0)
-    prod = s
-    fact = 2.0
-    for j in range(1, _EM_ORDER + 1):
-        if j > 1:
-            prod = prod * (s + 2 * j - 3) * (s + 2 * j - 2)
-            fact *= (2 * j) * (2 * j - 1)
-        total += _BERN[2 * j] / fact * prod * N ** (-s - 2 * j + 1)
-    return total
+    N = np.maximum(20, (1.3 * np.abs(s.imag) + 10.0).astype(np.int64))
+    n = np.arange(1.0, N.max(initial=20))
+    log_n = np.log(n)
+    head = np.empty(s.shape, dtype=complex)
+    rows = max(1, _EM_BLOCK // len(n))
+    for a in range(0, len(s), rows):
+        blk = slice(a, a + rows)
+        terms = np.exp(np.multiply.outer(-s[blk], log_n))
+        terms[n >= N[blk, None]] = 0.0
+        head[blk] = terms.sum(axis=1)
+    Nf = N.astype(float)
+    # s(s+1)...(s+2j-2) for j = 1.._EM_ORDER
+    rising = np.cumprod(s[:, None] + np.arange(2 * _EM_ORDER - 1), axis=1)[:, ::2]
+    corr = (rising * (_EM_COEF * Nf[:, None] ** _EM_EXP)).sum(axis=1)
+    total = head + np.exp(-s * np.log(Nf)) * (0.5 + Nf / (s - 1.0) + corr)
+    return complex(total[0]) if arr.ndim == 0 else total.reshape(arr.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -273,25 +292,21 @@ def _check_k_sum_range(sigma: float, eta: float) -> None:
                           "leaves the float range")
 
 
-def _k_sum_n(sigma: float, eta: float, tol: float, max_n: int) -> int:
-    """The k-sum's truncation N at Re z = sigma: the smallest whose bound in _k_sum
-    meets tol, capped at max_n."""
-    return min(_n_for_tail(sigma + 2.0 * eta, tol * -math.expm1(-2.0 * eta * math.log(2.0))), max_n)
-
-
-def _k_sum(z: complex, eta: float, tol: float, max_n: int) -> Tuple[float, float]:
-    """sum_{k>=1} -Re zeta'/zeta(z + 2k*eta) with an achieved error bound.
+def _k_sum(z: complex, eta: float, tol: float, max_n: int) -> Tuple[float, float, int]:
+    """sum_{k>=1} -Re zeta'/zeta(z + 2k*eta) as (value, achieved error bound, N).
 
     Summed over k first, the terms of each prime power n form a geometric
     series, so with s = Re z + 2*eta and t = Im z the sum is
     sum_n Lambda(n) cos(t log n) n^(-s) / (1 - n^(-2*eta)), truncated at one
-    N <= max_n.  Every n > N has 1 - n^(-2*eta) >= 1 - (N+1)^(-2*eta), so
-    tail_bound(N, s) over that bounds the rest, and it is <= tol if N < max_n.
-    Raises DomainError first if the sum leaves the float range.
+    N.  Every n > N has 1 - n^(-2*eta) >= 1 - (N+1)^(-2*eta), so
+    tail_bound(N, s) over that bounds the rest.  N is the smallest with
+    tail_bound(N, s) <= tol * (1 - 2^(-2*eta)), which puts the bound at or
+    below tol, capped at max_n.  Raises DomainError first if the sum leaves
+    the float range.
     """
     _check_k_sum_range(z.real, eta)
     s, t = z.real + 2.0 * eta, z.imag
-    N = _k_sum_n(z.real, eta, tol, max_n)
+    N = min(_n_for_tail(s, tol * -math.expm1(-2.0 * eta * math.log(2.0))), max_n)
     _, lam, log_n = _CACHE.upto(N)
     # in place, two prefix-length arrays; the denominator is -expm1 because
     # 1/expm1(2*eta*log n) overflows at large eta
@@ -304,16 +319,22 @@ def _k_sum(z: complex, eta: float, tol: float, max_n: int) -> Tuple[float, float
         terms *= np.cos(np.multiply(log_n, t, out=den), out=den)
     terms *= lam
     bound = tail_bound(N, s) / -math.expm1(-2.0 * eta * math.log(N + 1))
-    return float(np.sum(terms)), bound
+    return float(np.sum(terms)), bound, N
 
 
-def lemma_lhs(z: complex, eta: float, tol: float, max_n: int = DEFAULT_MAX_N) -> Tuple[float, float]:
-    """Sum side of the telescoping identity; returns (value, error_bound)."""
+def _lemma_z(z: complex, eta: float, tol: float, max_n: int = DEFAULT_MAX_N) -> complex:
+    """z as a complex, after the telescoping identity's argument checks."""
     z = complex(z)
     _check_args("Re(z)", z.real, DESK_RE_MIN, tol, max_n)
     if eta <= 0:
         raise ValueError("eta must be positive")
-    return _k_sum(z, eta, tol, max_n)
+    return z
+
+
+def lemma_lhs(z: complex, eta: float, tol: float, max_n: int = DEFAULT_MAX_N) -> Tuple[float, float]:
+    """Sum side of the telescoping identity; returns (value, error_bound)."""
+    value, bound, _ = _k_sum(_lemma_z(z, eta, tol, max_n), eta, tol, max_n)
+    return value, bound
 
 
 def lemma_rhs(z: complex, eta: float, tol: float) -> Tuple[float, float]:
@@ -328,10 +349,7 @@ def lemma_rhs(z: complex, eta: float, tol: float) -> Tuple[float, float]:
     if the target eta*tol is at or below 2**-52 times the integral's
     bound 2*log zeta(Re z + eta), which floats cannot resolve.
     """
-    z = complex(z)
-    _check_args("Re(z)", z.real, DESK_RE_MIN, tol)
-    if eta <= 0:
-        raise ValueError("eta must be positive")
+    z = _lemma_z(z, eta, tol)
     sigma_line = z.real + eta
     sup_log = math.log(zeta_em(complex(sigma_line)).real)
     # |val| <= sup_log * int cosh^-2 = 2*sup_log, so this bounds val / (4*eta)
@@ -346,23 +364,19 @@ def lemma_rhs(z: complex, eta: float, tol: float) -> Tuple[float, float]:
     trunc = sup_log * 4.0 * math.exp(-2.0 * U) / (4.0 * eta)
 
     def integrand(u):
-        u = np.atleast_1d(u)
-        out = np.empty(u.shape)
-        for i, ui in enumerate(u):
-            s = z + eta + 2.0 * eta * 1j * ui / math.pi
-            out[i] = math.log(abs(zeta_em(s))) / math.cosh(ui) ** 2
-        return out
+        return np.log(np.abs(zeta_em(z + eta + 2.0 * eta * 1j * u / math.pi))) / np.cosh(u) ** 2
 
     val, quad_err = adaptive_quad(integrand, -U, U, tol=eta * tol)
     _require_tol(quad_err, eta * tol)
-    return val / (4.0 * eta), quad_err / (4.0 * eta) + trunc
+    return float(val) / (4.0 * eta), quad_err / (4.0 * eta) + trunc
 
 
 def lemma_check(
     z: complex, eta: float, tol: float = 1e-6, max_n: int = DEFAULT_MAX_N
 ) -> VerificationReport:
     """Two-sided check of the telescoping identity."""
-    lhs, lerr = lemma_lhs(z, eta, tol, max_n)
+    z = _lemma_z(z, eta, tol, max_n)
+    lhs, lerr, N = _k_sum(z, eta, tol, max_n)
     rhs, rerr = lemma_rhs(z, eta, tol)
     diff = abs(lhs - rhs)
     return VerificationReport(
@@ -373,8 +387,7 @@ def lemma_check(
         rhs_error_bound=rerr,
         passed=diff <= tol + lerr + rerr,
         kind="equality",
-        params={"z": [z.real, z.imag], "eta": eta, "tol": tol, "max_n": max_n,
-                "N": _k_sum_n(z.real, eta, tol, max_n)},
+        params={"z": [z.real, z.imag], "eta": eta, "tol": tol, "max_n": max_n, "N": N},
     )
 
 
@@ -394,7 +407,7 @@ def midpoint_bound_check(
     _check_args("sigma", sigma, DESK_RE_MIN, tol, max_n)
     if not (0.0 < eta < 1.0):
         raise ValueError("eta must lie in (0, 1)")
-    lhs, lerr = _k_sum(complex(sigma), eta, tol, max_n)
+    lhs, lerr, N = _k_sum(complex(sigma), eta, tol, max_n)
     rhs_val = math.log(zeta_em(complex(sigma + eta)).real) / (2.0 * eta)
     rerr = abs(rhs_val) * 1e-12
     margin = rhs_val - lhs
@@ -410,7 +423,7 @@ def midpoint_bound_check(
             "sigma": sigma,
             "eta": eta,
             "tol": tol,
-            "N": _k_sum_n(sigma, eta, tol, max_n),
+            "N": N,
             "margin": margin,
             "conservative_margin": margin - lerr - rerr,
         },

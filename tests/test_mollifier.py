@@ -297,6 +297,40 @@ def test_W_real_for_real_argument():
     assert abs(W_eval(0.9, 0.7).imag) <= 1e-14
 
 
+# W_eval(theta, -1) at the benchmark's closed-form angles, as the float hex
+# strings computed when each panel called its integrand twice (15 nodes, then 7).
+# numpy's AVX-512 sin/tan give the first value at theta = 0.3, its other
+# dispatch paths the second.
+_W_AT_MINUS_ONE = {
+    0.3: ("0x1.cd5b75d3e194cp-9", "0x1.cd5b75d3e1949p-9"),
+    0.6: ("0x1.2d69f75434bc0p-4",),
+    0.9: ("0x1.431018a69102dp-1",),
+    1.2: ("0x1.64a514517a01ap+2",),
+    1.5699: ("0x1.2f3e0ec0dba71p+21",),
+}
+
+
+def test_W_eval_keeps_its_bits_at_the_closed_form_angles():
+    for theta, values in _W_AT_MINUS_ONE.items():
+        assert W_eval(theta, -1.0) in {complex(float.fromhex(v)) for v in values}, theta
+
+
+def _two_call_panel(f, a, b):
+    """quadrature._panel as it was, one integrand call per Gauss rule."""
+    h = 0.5 * (b - a)
+    mid = 0.5 * (a + b)
+    v15 = h * np.sum(quadrature._W15 * f(mid + h * quadrature._X15))
+    v7 = h * np.sum(quadrature._W7 * f(mid + h * quadrature._X7))
+    return v15, abs(v15 - v7)
+
+
+@pytest.mark.parametrize("s", [-1.0, 0.0, 2.5 + 7.0j, -1.0 + 40.0j])
+def test_W_eval_same_bits_as_one_call_per_rule(monkeypatch, s):
+    one_call = [W_eval(theta, s) for theta in THETA_GRID]
+    monkeypatch.setattr(quadrature, "_panel", _two_call_panel)
+    assert one_call == [W_eval(theta, s) for theta in THETA_GRID]
+
+
 def test_W_raises_when_quadrature_misses_tol(monkeypatch):
     # W_TOL is fixed; at s = -1 one panel already meets it, so a 2-panel cap
     # and an oscillating integrand force the shortfall

@@ -59,3 +59,22 @@ def test_estimate_is_the_exact_sum_of_the_final_panels(log10_height, width, cent
 def test_a_nan_estimate_misses_its_tol():
     with pytest.raises(QuadratureError, match="error estimate nan"):
         _require_tol(math.nan, 1.0)
+
+
+def test_one_integrand_call_of_22_points_per_panel(monkeypatch):
+    panels, calls = [], []
+    panel = quadrature._panel
+
+    def recorded(g, pa, pb):
+        panels.append((pa, pb))
+        return panel(g, pa, pb)
+
+    def f(u):
+        calls.append(u.shape)
+        return np.exp(-u * u) * np.cos(3.0 * u)
+
+    monkeypatch.setattr(quadrature, "_panel", recorded)
+    value, _ = adaptive_quad(f, -6.0, 6.0, tol=1e-12)
+    assert len(panels) > 1
+    assert calls == [(22,)] * len(panels)
+    assert value == pytest.approx(math.sqrt(math.pi) * math.exp(-2.25), rel=1e-12)

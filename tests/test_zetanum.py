@@ -309,6 +309,65 @@ def test_zeta_window_errors():
         zeta_em(1.5 + 2e4j)
 
 
+def test_zeta_em_array_window_errors():
+    with pytest.raises(DomainError, match=r"^Re\(s\) must exceed 1$"):
+        zeta_em(np.array([2.0, 1.0 + 5j]))
+    with pytest.raises(DomainError, match=r"^\|Im\(s\)\| above the desk-scale window 10000.0$"):
+        zeta_em(np.array([2.0, 1.5 - 2e4j]))
+
+
+# (Re s, Im s) in the window of the mpmath test: Re s in (1, 4], |Im s| <= 1e3
+_EM_LOW = st.tuples(st.floats(1.0, 4.0, exclude_min=True), st.floats(-5.0, 5.0))
+_EM_HIGH = st.tuples(st.floats(1.0, 4.0, exclude_min=True), st.floats(-1e3, 1e3))
+
+
+@settings(max_examples=25, deadline=None)
+@given(_EM_LOW, st.lists(_EM_HIGH, min_size=1, max_size=4))
+@example((1.0000001, 0.0), [(1.0111881864862275, -575.3937876096602), (4.0, 1e3), (1.5, -1e3)])
+def test_zeta_em_array_against_mpmath(low, high):
+    # a point at N = 20 beside points whose N reaches 1310, in one call
+    s = np.array([complex(*low)] + [complex(*p) for p in high])
+    got = zeta_em(s)
+    assert got.shape == s.shape
+    with mp.workdps(30):
+        for point, value in zip(s, got):
+            ref = complex(mp.zeta(mp.mpc(point.real, point.imag)))
+            assert abs(value - ref) <= 1e-12 * abs(ref), point
+
+
+def _zeta_em_loop(s):
+    """zeta_em's Euler-Maclaurin sum for one point, term by term in Python complex
+    arithmetic, as zeta_em computed it before it took arrays."""
+    N = int(max(20, 1.3 * abs(s.imag) + 10))
+    total = complex(np.sum(np.exp(-s * np.log(np.arange(1, N)))))
+    total += 0.5 * N ** (-s)
+    total += N ** (1.0 - s) / (s - 1.0)
+    prod, fact = s, 2.0
+    for j in range(1, _EM_ORDER + 1):
+        if j > 1:
+            prod = prod * (s + 2 * j - 3) * (s + 2 * j - 2)
+            fact *= (2 * j) * (2 * j - 1)
+        total += _BERN[2 * j] / fact * prod * N ** (-s - 2 * j + 1)
+    return total
+
+
+def test_zeta_em_array_matches_scalar_calls():
+    rng = np.random.default_rng(3)
+    # 60 points with N up to about 1300 take two head-sum blocks of _EM_BLOCK terms
+    s = rng.uniform(1.01, 4.0, 60) + 1j * rng.uniform(-1e3, 1e3, 60)
+    s[::3] = rng.uniform(1.01, 4.0, 20) + 1j * rng.uniform(-5.0, 5.0, 20)
+    assert len(s) * 1300 > zetanum._EM_BLOCK
+    got = zeta_em(s)
+    for point, value in zip(s, got):
+        want = zeta_em(complex(point))
+        assert type(want) is complex
+        assert abs(value - want) <= 1e-14 * abs(want), point
+        loop = _zeta_em_loop(complex(point))
+        assert abs(want - loop) <= 1e-14 * abs(loop), point
+    assert np.array_equal(zeta_em(s.reshape(3, 20)), got.reshape(3, 20))
+    assert zeta_em(np.array([], dtype=complex)).shape == (0,)
+
+
 # ---------------------------------------------------------------------------
 # telescoping identity
 # ---------------------------------------------------------------------------
@@ -339,6 +398,51 @@ def test_lemma_rhs_raises_when_quadrature_misses_tol(monkeypatch):
     monkeypatch.setattr(quadrature, "MAX_PANELS", 2)
     with pytest.raises(QuadratureError, match=r"2-panel cap .* above the requested tol 2.5e-07"):
         lemma_rhs(1.5 + 10j, 0.25, 1e-6)
+
+
+@pytest.mark.parametrize("args, points", [
+    ((1.5 + 10j, 0.25, 1e-3), 66),
+    ((2.0 + 20j, 0.5, 1e-6), 242),
+    ((1.3 + 0j, 0.1, 1e-3), 154),
+    ((1.25 + 5j, 0.05, 1e-6), 330),
+])
+def test_lemma_rhs_integrand_points(monkeypatch, args, points):
+    # the point counts of the integrand that took one point per call: the same
+    # panels, now at 22 points per call
+    seen = []
+    quad = zetanum.adaptive_quad
+
+    def counted(f, a, b, tol):
+        def g(u):
+            seen.append(u.size)
+            return f(u)
+        return quad(g, a, b, tol=tol)
+
+    monkeypatch.setattr(zetanum, "adaptive_quad", counted)
+    lemma_rhs(*args)
+    assert set(seen) == {22}
+    assert sum(seen) == points
+
+
+def _numpy_free(value):
+    """True if value is a Python float, int, bool or str, or a list of them."""
+    if isinstance(value, list):
+        return all(_numpy_free(v) for v in value)
+    return type(value) in (float, int, bool, str)
+
+
+def test_reports_hold_python_floats_and_bools():
+    reports = (
+        lemma_check(1.5 + 10j, 0.25, tol=1e-3, max_n=MAXN),
+        midpoint_bound_check(1.5, 0.1, tol=1e-4, max_n=MAXN),
+        applied_trig_sum(CosinePolynomial((3.0, 4.0, 1.0)), 1.5, 14.13, tol=1e-3, max_n=MAXN),
+    )
+    for report in reports:
+        assert report.passed is True
+        for name in ("lhs", "rhs", "abs_diff", "lhs_error_bound", "rhs_error_bound"):
+            assert type(getattr(report, name)) is float, (report.kind, name)
+        assert all(_numpy_free(v) for v in report.params.values()), report.params
+    assert all(type(v) is float for v in lemma_rhs(1.5 + 10j, 0.25, 1e-3))
 
 
 def test_lemma_rhs_constant_weight_mass():
@@ -465,8 +569,8 @@ _TOL = st.sampled_from([1e-3, 1e-6, 1e-10])
 def test_k_sum_matches_complex_series(sigma, t, N, eta, tol):
     z = complex(sigma, t)
     terms, _, err_ref, _, scale = _k_sum_complex(z, eta, tol, N)
-    total, got_err = _k_sum(z, eta, tol, N)
-    N_used = min(_n_for_tail(sigma + 2.0 * eta, tol * -math.expm1(-2.0 * eta * math.log(2.0))), N)
+    total, got_err, N_used = _k_sum(z, eta, tol, N)
+    assert N_used == min(_n_for_tail(sigma + 2.0 * eta, tol * -math.expm1(-2.0 * eta * math.log(2.0))), N)
     assert got_err == _k_sum_bound(sigma, eta, N_used)
     assert N_used == N or got_err <= tol
     assert abs(total - math.fsum(terms)) <= err_ref + got_err + 1e-13 * scale
@@ -487,7 +591,8 @@ def _k_sum_by_terms(z, eta, N):
 def test_k_sum_closed_form_matches_per_k_series(sigma, t, eta, N):
     z = complex(sigma, t)
     # at this tol every N is capped, so both sides sum the same prime powers
-    total, err = _k_sum(z, eta, 1e-300, N)
+    total, err, N_used = _k_sum(z, eta, 1e-300, N)
+    assert N_used == N
     assert err == _k_sum_bound(sigma, eta, N)
     _, lam, log_n = _CACHE.upto(N)
     scale = float(np.sum(lam * np.exp(-sigma * log_n) / np.expm1(2.0 * eta * log_n)))
