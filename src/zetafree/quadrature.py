@@ -2,8 +2,8 @@
 
 Panels are scored by the difference between 15-point and 7-point Gauss
 rules; the worst panel is split until the summed estimate meets the
-target.  Each panel calls the integrand once, on the 22 nodes of both
-rules, so an integrand maps a 1-D numpy array of points to an array of
+target.  Each panel calls the integrand once, on the 21 distinct nodes
+of both rules, so an integrand maps a 1-D numpy array of points to an array of
 the same shape; its values may be complex.  adaptive_quad stops at
 MAX_PANELS panels whether or not it met its target; callers that need
 the target check the returned estimate with _require_tol.
@@ -19,8 +19,11 @@ from .errors import QuadratureError
 
 _X7, _W7 = np.polynomial.legendre.leggauss(7)
 _X15, _W15 = np.polynomial.legendre.leggauss(15)
-# the nodes of both rules, for one integrand call per panel
-_X22 = np.concatenate((_X15, _X7))
+# the nodes of both rules, for one integrand call per panel: both have the
+# node 0 (the middle node of an odd-order rule), so it appears once, and _I7
+# picks the 7-point rule's values out of the call in that rule's node order
+_X21 = np.concatenate((_X15, _X7[:3], _X7[4:]))
+_I7 = np.array([15, 16, 17, 7, 18, 19, 20])
 # adaptive_quad stops splitting at this many panels
 MAX_PANELS = 4000
 
@@ -28,9 +31,9 @@ MAX_PANELS = 4000
 def _panel(f, a, b):
     h = 0.5 * (b - a)
     mid = 0.5 * (a + b)
-    y = f(mid + h * _X22)
+    y = f(mid + h * _X21)
     v15 = h * np.sum(_W15 * y[:15])
-    v7 = h * np.sum(_W7 * y[15:])
+    v7 = h * np.sum(_W7 * y[_I7])
     return v15, abs(v15 - v7)
 
 

@@ -277,6 +277,11 @@ def test_bad_optimize_tol_exits_one(capsys, tol):
     assert captured.out == "" and "tol must be finite and > 0" in captured.err
 
 
+def test_negative_optimize_seed_exits_one(capsys):
+    assert main(["optimize", "--degree", "3", "--half-angle-factor", "--seed", "-1"]) == 1
+    assert capsys.readouterr() == ("", "error: seed must be a nonnegative integer, got -1\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["verify-lemma", "--sigma", "1.5", "--eta", "0.5", "--tol", "nan"],
     ["verify-lemma", "--sigma", "1.5", "--eta", "0.5", "--tol", "-1"],

@@ -1,7 +1,10 @@
 import math
+import multiprocessing
+import os
 import re
+import subprocess
 import sys
-from functools import partial
+from functools import partial, wraps
 
 import numpy as np
 import pytest
@@ -15,6 +18,7 @@ from zetafree.asymptotics import compute_M
 from zetafree.errors import NoFeasiblePointError
 from zetafree.optimizer import (
     _PENALTY,
+    _STARTS_PER_WORKER,
     MAX_ITER,
     ROOT_BOX,
     CandidateEval,
@@ -22,6 +26,7 @@ from zetafree.optimizer import (
     _nelder_mead,
     _objective,
     _scrambled_halton,
+    _workers,
     evaluate_candidate,
     optimize,
 )
@@ -149,6 +154,17 @@ def test_each_start_point_is_evaluated_once(monkeypatch, degree, half):
     lo, hi = math.log(ROOT_BOX[0]), math.log(ROOT_BOX[1])
     for x0 in lo + (hi - lo) * _scrambled_halton(degree // 2, 8, 0):
         assert sum(np.array_equal(x, x0) for x in seen) == 1
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, "0"])
+def test_seed_must_be_a_nonnegative_integer(monkeypatch, seed):
+    def drawn(*args):
+        raise AssertionError("a start point was drawn")
+
+    monkeypatch.setattr(zetafree.optimizer, "_scrambled_halton", drawn)
+    message = f"seed must be a nonnegative integer, got {seed!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        optimize(3, True, seed=seed)
 
 
 def test_parity_validation():
@@ -351,3 +367,99 @@ def test_notes_count_starts_at_iteration_cap(monkeypatch):
     assert len(res.notes) == 1
     match = re.fullmatch(r"(\d+) of 8 starts stopped at the iteration cap", res.notes[0])
     assert match and int(match.group(1)) >= len(res.trace) > 0
+
+
+# ---------------------------------------------------------------------------
+# the starts on a process pool
+# ---------------------------------------------------------------------------
+
+def _force_cpus(monkeypatch, cpus):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+
+
+def _optimize_on(monkeypatch, cpus, *args, **kwargs):
+    _force_cpus(monkeypatch, cpus)
+    return optimize(*args, **kwargs)
+
+
+@pytest.mark.parametrize("cpus,starts,workers", [
+    (1, 10**6, 1),
+    (2, 2 * _STARTS_PER_WORKER - 1, 1),
+    (2, 2 * _STARTS_PER_WORKER, 2),
+    (2, 10**6, 2),
+    (8, 3 * _STARTS_PER_WORKER, 3),
+])
+def test_workers_never_exceed_the_cpus_or_the_starts(monkeypatch, cpus, starts, workers):
+    _force_cpus(monkeypatch, cpus)
+    assert _workers(starts) == workers
+
+
+def test_no_pool_off_linux(monkeypatch):
+    _force_cpus(monkeypatch, 8)
+    monkeypatch.setattr(sys, "platform", "darwin")
+    assert _workers(10**6) == 1
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="the pool runs on Linux only")
+@pytest.mark.parametrize("degree,half,starts,seed,max_iter", [
+    (5, True, 64, 0, MAX_ITER),
+    (7, True, 128, 0, MAX_ITER),
+    # d = 4 rejects some start points at every seed: 10 of these 64
+    (4, False, 64, 3, MAX_ITER),
+    # every start stops at the iteration cap
+    (4, False, 64, 0, 3),
+])
+def test_pooled_result_equals_inline_result(monkeypatch, degree, half, starts, seed, max_iter):
+    monkeypatch.setattr(zetafree.optimizer, "MAX_ITER", max_iter)
+    inline = _optimize_on(monkeypatch, 1, degree, half, starts=starts, seed=seed)
+    pooled = _optimize_on(monkeypatch, 2, degree, half, starts=starts, seed=seed)
+    assert pooled == inline
+    assert (len(pooled.trace) < starts) == (degree == 4)
+    assert bool(pooled.notes) == (max_iter == 3)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="the pool runs on Linux only")
+def test_pooled_starts_run_in_worker_processes(monkeypatch, tmp_path):
+    log = tmp_path / "pids"
+    run_start = zetafree.optimizer._run_start
+
+    @wraps(run_start)  # so the pool pickles it by the module's own name
+    def logged(*args, **kwargs):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return run_start(*args, **kwargs)
+
+    monkeypatch.setattr(zetafree.optimizer, "_run_start", logged)
+    _optimize_on(monkeypatch, 2, 5, True, starts=64, seed=0)
+    pids = log.read_text().split()
+    assert len(pids) == 64
+    assert str(os.getpid()) not in pids
+    assert len(set(pids)) <= 2
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_a_start_that_raises_reaches_the_caller(monkeypatch, cpus):
+    lo, hi = math.log(ROOT_BOX[0]), math.log(ROOT_BOX[1])
+    bad = (lo + (hi - lo) * _scrambled_halton(2, 64, 0)[40]).tolist()
+    assert _objective(bad, True) < _PENALTY
+    nelder_mead = zetafree.optimizer._nelder_mead
+
+    def failing(f, x0, f0, xatol):
+        if x0 == bad:
+            raise ArithmeticError(f"no descent from {x0!r}")
+        return nelder_mead(f, x0, f0, xatol)
+
+    monkeypatch.setattr(zetafree.optimizer, "_nelder_mead", failing)
+    with pytest.raises(ArithmeticError) as info:
+        _optimize_on(monkeypatch, cpus, 5, True, starts=64, seed=0)
+    assert type(info.value) is ArithmeticError
+    assert str(info.value) == f"no descent from {bad!r}"
+    assert multiprocessing.active_children() == []
+
+
+def test_inline_run_does_not_import_multiprocessing():
+    code = ("import sys, zetafree.cli; zetafree.optimize(3, True, starts=8); "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'multiprocessing'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"

@@ -61,7 +61,7 @@ def test_a_nan_estimate_misses_its_tol():
         _require_tol(math.nan, 1.0)
 
 
-def test_one_integrand_call_of_22_points_per_panel(monkeypatch):
+def test_one_integrand_call_of_21_distinct_points_per_panel(monkeypatch):
     panels, calls = [], []
     panel = quadrature._panel
 
@@ -70,11 +70,18 @@ def test_one_integrand_call_of_22_points_per_panel(monkeypatch):
         return panel(g, pa, pb)
 
     def f(u):
-        calls.append(u.shape)
+        calls.append(u)
         return np.exp(-u * u) * np.cos(3.0 * u)
 
     monkeypatch.setattr(quadrature, "_panel", recorded)
     value, _ = adaptive_quad(f, -6.0, 6.0, tol=1e-12)
     assert len(panels) > 1
-    assert calls == [(22,)] * len(panels)
+    assert [u.shape for u in calls] == [(21,)] * len(panels)
+    assert all(len(np.unique(u)) == 21 for u in calls)
     assert value == pytest.approx(math.sqrt(math.pi) * math.exp(-2.25), rel=1e-12)
+
+
+def test_the_7_point_values_are_read_at_the_7_point_nodes():
+    # the 7-point rule's nodes, in its own order, among the 21 of one call
+    assert np.array_equal(quadrature._X21[quadrature._I7], quadrature._X7)
+    assert np.array_equal(quadrature._X21[:15], quadrature._X15)
