@@ -30,23 +30,27 @@ class RegionRow:
     flags: Tuple[str, ...] = field(default_factory=tuple)
 
 
-def check_objective_input(p: CosinePolynomial) -> None:
-    """Raise unless b0, b1 > 0 and p passes the nonnegativity check."""
-    b = p.coeffs
-    if b[0] <= 0 or b[1] <= 0:
-        raise ValueError("b0 and b1 must be positive")
+def check_objective_input(p: CosinePolynomial) -> float:
+    """p's shape angle theta, once p passes the nonnegativity check and
+    solve_theta accepts b0 and b1; the checks run in that order."""
     require_nonneg(p)
+    return solve_theta(p.coeffs[0], p.coeffs[1])
 
 
 def compute_M(p: CosinePolynomial) -> float:
     """Objective constant M; homogeneous of degree 0 in the coefficients."""
-    check_objective_input(p)
-    b = p.coeffs
-    return M_from_theta(b, solve_theta(b[0], b[1]))
+    return M_from_theta(p.coeffs, check_objective_input(p))
 
 
 def M_from_theta(b: Sequence[float], theta: float) -> float:
-    """M for coefficients b_0..b_d whose shape angle theta is already solved."""
+    """M for coefficients b_0..b_d whose shape angle theta is already solved.
+
+    A b_0 outside 2**(+-256) is first scaled into [0.5, 1) by an exact power
+    of two, all b_j with it, so that M_from_sums neither overflows nor underflows.
+    """
+    e = math.frexp(b[0])[1]
+    if abs(e) > 256:
+        b = [math.ldexp(x, -e) for x in b]
     return M_from_sums(b[0], sum(b[1:]), sum(b), theta)
 
 

@@ -9,7 +9,7 @@ and --max-n must also be a whole number.
 
 Each runner takes the parsed Namespace and returns its output, a result
 dict or the finished CSV or text, with its exit code; `run` alone writes
-it.  JSON output is canonical (sorted keys, floats at 17 significant
+it.  JSON output is canonical (sorted keys, finite floats at 17 significant
 digits) so identical runs are byte-identical.  Exit codes: 0 success,
 1 validation error, 2 verification failure.
 """
@@ -35,7 +35,7 @@ from .asymptotics import (
     region_table,
 )
 from .errors import ZetafreeError
-from .mollifier import MollifierShape, g_eval, solve_theta, w_eval
+from .mollifier import MollifierShape, g_eval, w_eval
 from .optimizer import optimize
 from .trigpoly import CosinePolynomial
 from .zetanum import DEFAULT_MAX_N, applied_trig_sum, lemma_check
@@ -61,6 +61,8 @@ class _Parser(argparse.ArgumentParser):
 def _emit_canonical(obj, indent: str, out: List[str]) -> None:
     """Append obj's canonical JSON to out; indent is the current line's."""
     if isinstance(obj, (float, np.floating)):
+        if not math.isfinite(obj):
+            raise ValueError(f"{float(obj)} is not a JSON number")
         out.append(f"{float(obj):.17g}")
     elif isinstance(obj, str):
         out.append(json.dumps(obj))
@@ -97,7 +99,8 @@ def dumps_canonical(obj) -> str:
 
     The layout is json.dumps(obj, sort_keys=True, indent=2) with every float
     written as format(x, ".17g"); numpy scalars count as the Python types
-    they stand for.  Keys must be strings.
+    they stand for.  Keys must be strings, and a nan or infinite float,
+    which JSON cannot hold, raises ValueError.
     """
     out: List[str] = []
     _emit_canonical(obj, "", out)
@@ -278,8 +281,7 @@ def _run_optimize(args: argparse.Namespace):
 
 def _run_eval_poly(args: argparse.Namespace):
     p = _poly(args)
-    theta = solve_theta(p.coeffs[0], p.coeffs[1])
-    check_objective_input(p)
+    theta = check_objective_input(p)
     result = {"theta": theta, "M": M_from_theta(p.coeffs, theta), "C": compute_C(p, args.B),
               "A": args.A, "B": args.B, "coeffs": p.to_json()}
     if args.format == "text":

@@ -17,7 +17,6 @@ w(u)*exp(-s*u) over the compact support, to the fixed absolute error W_TOL.
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 import numpy as np
 
@@ -288,58 +287,32 @@ def W_eval(theta: float, s) -> complex:
 
 @dataclass(frozen=True)
 class MollifierShape:
-    """Shape angle, its coefficients and the optional exponential scaling lam.
-
-    The supports and closed-form values are computed from theta on each
-    access; f0, f_eval and F_eval need lam.
-    """
+    """Shape angle theta and the exponential scaling lam of f(u) = lam *
+    exp(lam*u) * w(lam*u); the support and f(0) are computed on each access."""
 
     theta: float
-    b0: float
-    b1: float
-    lam: Optional[float] = None
+    lam: float
 
     def __post_init__(self):
-        if self.lam is not None and not (math.isfinite(self.lam) and self.lam > 0):
+        if not (math.isfinite(self.lam) and self.lam > 0):
             raise ValueError(f"lam must be finite and > 0, got {self.lam!r}")
 
     @classmethod
-    def from_coeffs(cls, b0: float, b1: float, lam: Optional[float] = None) -> "MollifierShape":
-        return cls(
-            theta=solve_theta(b0, b1),
-            b0=float(b0),
-            b1=float(b1),
-            lam=None if lam is None else float(lam),
-        )
-
-    @property
-    def g_support(self) -> float:
-        return g_support(self.theta)
+    def from_coeffs(cls, b0: float, b1: float, lam: float) -> "MollifierShape":
+        return cls(theta=solve_theta(b0, b1), lam=float(lam))
 
     @property
     def w_support(self) -> float:
         return 2.0 * g_support(self.theta)
 
     @property
-    def w0(self) -> float:
-        return w0_closed(self.theta)
-
-    @property
-    def negWp0(self) -> float:
-        return negWprime0_closed(self.theta)
-
-    @property
     def f0(self) -> float:
         """f(0) = lam * w(0)."""
-        if self.lam is None:
-            raise ValueError("lam is not set on this shape")
-        return self.lam * self.w0
+        return self.lam * w0_closed(self.theta)
 
     def f_eval(self, u):
         """f(u) = lam * exp(lam*u) * w(lam*u) for u >= 0; zero from
         lam*u = w_support on, where w_eval is exactly zero."""
-        if self.lam is None:
-            raise ValueError("lam is not set on this shape")
         u_arr = np.asarray(u, dtype=float)
         if np.any(u_arr < 0):
             raise ValueError("u must be >= 0")
@@ -351,8 +324,6 @@ class MollifierShape:
 
 def F_eval(shape: MollifierShape, z) -> complex:
     """Laplace transform of f, via F(z) = W(z/lam - 1)."""
-    if shape.lam is None:
-        raise ValueError("lam is not set on this shape")
     return W_eval(shape.theta, complex(z) / shape.lam - 1.0)
 
 

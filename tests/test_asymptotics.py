@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from zetafree.asymptotics import (
+    M_from_theta,
     compute_C,
     compute_M,
     eta_of,
@@ -11,6 +12,7 @@ from zetafree.asymptotics import (
     region_table,
 )
 from zetafree.errors import DomainError, NonnegativityError, RatioOutOfRangeError
+from zetafree.mollifier import solve_theta
 from zetafree.trigpoly import CosinePolynomial, ProductForm, expand_product
 
 CLASSICAL = CosinePolynomial((3.0, 4.0, 1.0))
@@ -34,6 +36,18 @@ def test_M_scale_invariant():
     m = compute_M(CLASSICAL)
     assert compute_M(CLASSICAL.scaled(2.0)) == pytest.approx(m, abs=1e-12)
     assert compute_M(CosinePolynomial((6.0, 8.0, 2.0))) == pytest.approx(m, abs=1e-12)
+
+
+def test_M_scale_invariant_over_the_float_range():
+    # (3, 4, 1) * 10**k: the unscaled sums in M overflow from k = 205 on and
+    # underflow from k = -209 down
+    m = compute_M(CLASSICAL)
+    scaled = {k: tuple(float(f"{c:g}e{k}") for c in CLASSICAL.coeffs) for k in range(-300, 301)}
+    for k, b in scaled.items():
+        assert M_from_theta(b, solve_theta(b[0], b[1])) == pytest.approx(m, rel=1e-12), k
+    # compute_M certifies each polynomial, about 10 ms apiece, so at the edges only
+    for k in (-300, -218, -215, -209, 205, 300):
+        assert compute_M(CosinePolynomial(scaled[k])) == pytest.approx(m, rel=1e-12), k
 
 
 def test_M_rejects_bad_ratio():

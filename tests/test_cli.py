@@ -66,9 +66,9 @@ _JSON_LEAVES = st.one_of(
     st.booleans().map(np.bool_),
     st.integers(),
     st.integers(-2**63, 2**63 - 1).map(np.int64),
-    st.floats(),
-    st.floats().map(np.float64),
-    st.floats(width=32).map(np.float32),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(allow_nan=False, allow_infinity=False).map(np.float64),
+    st.floats(width=32, allow_nan=False, allow_infinity=False).map(np.float32),
     _TEXT,
 )
 _JSON_VALUES = st.recursive(
@@ -93,6 +93,13 @@ def test_dumps_canonical_rejects_what_json_cannot_hold():
         dumps_canonical({1: 2.0})
     with pytest.raises(TypeError, match="not JSON serializable"):
         dumps_canonical({"a": np.zeros(2)})
+
+
+@pytest.mark.parametrize("kind", (float, np.float64, np.float32), ids=lambda k: k.__name__)
+@pytest.mark.parametrize("text", ("inf", "-inf", "nan"))
+def test_dumps_canonical_refuses_non_finite_floats(kind, text):
+    with pytest.raises(ValueError, match="is not a JSON number"):
+        dumps_canonical({"rows": [[0.5, kind(text)]]})
 
 
 def test_dumps_canonical_equals_marked_float_pipeline_on_a_table():
@@ -186,6 +193,18 @@ def test_missing_required_flag_exits_one(capsys):
 def test_bad_coeff_list_exits_one(capsys):
     assert main(["eval-poly", "--coeffs", "3,four,1"]) == 1
     assert "four" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("coeffs", ("1,3.5", "1,-2,0.5", "1,1.9", "0,1"))
+def test_every_coeffs_command_refuses_a_dip_with_one_error_line(coeffs, capsys):
+    errors = set()
+    for argv in (["eval-poly"], ["region"], ["verify-trig", "--x", "2", "--y", "1", "--max-n", "1e4"]):
+        assert main([*argv, "--coeffs", coeffs]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors.add(captured.err)
+    [err] = errors
+    assert err.startswith("error: polynomial dips to ") and err.count("\n") == 1
 
 
 _NONFINITE_FLAGS = [
@@ -497,6 +516,14 @@ def test_mollifier_table_bad_lam(lam, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "lam must be finite and > 0" in captured.err
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_mollifier_table_refuses_an_overflowing_f_column(capsys):
+    argv = ["mollifier-table", "--b0", "3", "--b1", "4", "--lam", "1e307", "--step", "0.5"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: inf is not a JSON number\n"
 
 
 def test_mollifier_table_makes_no_quadrature_call(monkeypatch, capsys):

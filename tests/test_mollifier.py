@@ -340,19 +340,16 @@ def test_W_raises_when_quadrature_misses_tol(monkeypatch):
 
 
 def test_shape_derived_fields():
-    sh = MollifierShape.from_coeffs(3.0, 4.0)
-    assert sh.g_support == pytest.approx(g_support(sh.theta))
+    sh = MollifierShape.from_coeffs(3.0, 4.0, lam=1.0)
     assert sh.w_support == pytest.approx(2.0 * g_support(sh.theta))
-    assert sh.w0 == pytest.approx(w0_closed(sh.theta))
-    assert sh.w0 > 0 and sh.negWp0 > 0
-    assert abs(_residual(sh.theta, sh.b1 / sh.b0)) <= 1e-12
+    assert w0_closed(sh.theta) > 0 and negWprime0_closed(sh.theta) > 0
+    assert abs(_residual(sh.theta, 4.0 / 3.0)) <= 1e-12
 
 
 def test_hand_built_shape_matches_from_coeffs():
     ref = MollifierShape.from_coeffs(3.0, 4.0, lam=1.0)
-    sh = MollifierShape(theta=ref.theta, b0=3, b1=4, lam=1)
+    sh = MollifierShape(theta=ref.theta, lam=1)
     assert sh.w_support == ref.w_support
-    assert sh.w0 == ref.w0
     assert sh.f0 == ref.f0 == pytest.approx(112.69005237, rel=1e-9)
     assert sh.f_eval(0.3) == ref.f_eval(0.3) == pytest.approx(41.292002, rel=1e-6)
 
@@ -370,12 +367,12 @@ def test_f_array_equals_scalar_calls():
 
 
 def test_shape_stores_only_theta_coeffs_and_lam():
-    assert [f.name for f in dataclasses.fields(MollifierShape)] == ["theta", "b0", "b1", "lam"]
+    assert [f.name for f in dataclasses.fields(MollifierShape)] == ["theta", "lam"]
 
 
 def test_f0_is_lambda_times_w0():
     sh = MollifierShape.from_coeffs(3.0, 4.0, lam=0.25)
-    assert sh.f0 == 0.25 * sh.w0  # same code path, exact
+    assert sh.f0 == 0.25 * w0_closed(sh.theta)  # same code path, exact
 
 
 def test_F_is_shifted_W():
@@ -412,17 +409,9 @@ def test_F0_at_zero_raises():
         F0_eval(sh, 0.0)
 
 
-def test_lambda_must_be_set():
-    sh = MollifierShape.from_coeffs(3.0, 4.0)
-    with pytest.raises(ValueError):
-        F_eval(sh, 1.0)
-    with pytest.raises(ValueError):
-        sh.f0
-
-
 @pytest.mark.parametrize("lam", (0.0, -1.0, float("nan"), float("inf")))
 def test_lambda_must_be_finite_and_positive(lam):
     with pytest.raises(ValueError, match="lam"):
         MollifierShape.from_coeffs(3.0, 4.0, lam=lam)
     with pytest.raises(ValueError, match="lam"):
-        MollifierShape(theta=0.9, b0=3.0, b1=4.0, lam=lam)
+        MollifierShape(theta=0.9, lam=lam)
