@@ -43,15 +43,26 @@ def compute_M(p: CosinePolynomial) -> float:
 
 
 def M_from_theta(b: Sequence[float], theta: float) -> float:
-    """M for coefficients b_0..b_d whose shape angle theta is already solved.
+    """M for coefficients b_0..b_d whose shape angle theta is already solved."""
+    return M_from_sums(*_scaled_sums(b), theta)
 
-    A b_0 outside 2**(+-256) is first scaled into [0.5, 1) by an exact power
-    of two, all b_j with it, so that M_from_sums neither overflows nor underflows.
+
+def _scaled_sums(b: Sequence[float]) -> Tuple[float, float, float]:
+    """b_0, sum_{j>=1} b_j and sum_j b_j, the scale-free inputs of M and C.
+
+    A b_0 outside 2**(+-256) is first scaled by an exact power of two, all
+    b_j with it, into [0.5, 1), or less if some |b_j| would reach 2 (no
+    nonnegative polynomial has |b_j| > 2 b_0), so M and C neither overflow
+    nor underflow.  Raises ValueError unless sum_{j>=1} b_j is positive.
     """
     e = math.frexp(b[0])[1]
     if abs(e) > 256:
+        e = max(e, math.frexp(max(map(abs, b)))[1] - 1)
         b = [math.ldexp(x, -e) for x in b]
-    return M_from_sums(b[0], sum(b[1:]), sum(b), theta)
+    s_tail = sum(b[1:])
+    if s_tail <= 0:
+        raise ValueError("sum of b_1..b_d must be positive")
+    return b[0], s_tail, sum(b)
 
 
 def M_from_sums(b0: float, s_tail: float, s_all: float, theta: float) -> float:
@@ -64,11 +75,7 @@ def compute_C(p: CosinePolynomial, B: float) -> float:
     """Optimal constant in the eta asymptotic, for growth constant B."""
     if B <= 0:
         raise ValueError("B must be positive")
-    b = p.coeffs
-    s_all = sum(b)
-    s_tail = sum(b[1:])
-    if s_tail <= 0:
-        raise ValueError("sum of b_1..b_d must be positive")
+    _, s_tail, s_all = _scaled_sums(p.coeffs)
     return (4.0 * s_all / (3.0 * B * s_tail)) ** (2.0 / 3.0)
 
 

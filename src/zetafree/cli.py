@@ -58,12 +58,17 @@ class _Parser(argparse.ArgumentParser):
 # Canonical serialization
 # ---------------------------------------------------------------------------
 
+def _float_text(x) -> str:
+    """x at 17 significant digits, for JSON and CSV; inf and nan raise ValueError."""
+    if not math.isfinite(x):
+        raise ValueError(f"cannot write {float(x)}: output numbers must be finite")
+    return f"{float(x):.17g}"
+
+
 def _emit_canonical(obj, indent: str, out: List[str]) -> None:
     """Append obj's canonical JSON to out; indent is the current line's."""
     if isinstance(obj, (float, np.floating)):
-        if not math.isfinite(obj):
-            raise ValueError(f"{float(obj)} is not a JSON number")
-        out.append(f"{float(obj):.17g}")
+        out.append(_float_text(obj))
     elif isinstance(obj, str):
         out.append(json.dumps(obj))
     elif isinstance(obj, (bool, np.bool_)):
@@ -112,7 +117,7 @@ def _rows_to_csv(header: Sequence[str], rows: Sequence[Sequence[object]]) -> str
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     for row in rows:
-        writer.writerow([f"{v:.17g}" if isinstance(v, float) else v for v in row])
+        writer.writerow([_float_text(v) if isinstance(v, float) else v for v in row])
     return buf.getvalue()
 
 

@@ -317,8 +317,12 @@ class MollifierShape:
         if np.any(u_arr < 0):
             raise ValueError("u must be >= 0")
         lu = np.minimum(self.lam * u_arr, self.w_support)
+        w = w_eval(self.theta, lu)
         # math.exp per element: np.exp's last bits depend on numpy's CPU dispatch
-        vals = self.lam * np.vectorize(math.exp, otypes=[float])(lu) * w_eval(self.theta, lu)
+        exp_lu = np.vectorize(math.exp, otypes=[float])(lu)
+        # a lam near the float maximum gives inf, but only where w is not 0
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals = np.where(w == 0.0, 0.0, self.lam * exp_lu * w)
         return float(vals) if np.isscalar(u) else vals
 
 

@@ -6,13 +6,13 @@ root offsets.  Each start runs Nelder-Mead (Nelder and Mead, Comput. J. 7,
 1965; reflection 1, expansion 2, contraction 0.5, shrink 0.5) over the root
 offsets in log coordinates, for at most MAX_ITER iterations.  Each point
 is scored from b0, b1 and the coefficient sums, read off the power-basis
-product without the full cosine expansion; points that fail the feasibility
-checks (b0, b1 positive, b1/b0 inside the shape-equation window) score a
-penalty.  The simplex's best value is the score of its start; only the
-winning start is expanded, by evaluate_candidate, for the reported
-polynomial, theta and M.  Both algorithms are written here, the Halton
-points in numpy and the simplex on lists of floats, and the tests check
-them point for point against reference implementations.
+product without the full cosine expansion; a point scores a penalty exactly
+where solve_theta refuses its b0 and b1.  The simplex's best value is the
+score of its start; only the winning start is expanded, by
+evaluate_candidate, for the reported polynomial, theta and M.  Both
+algorithms are written here, the Halton points in numpy and the simplex on
+lists of floats, and the tests check them point for point against
+reference implementations.
 
 The starts are independent: when there are enough of them for two or more
 CPUs (see _workers), they run on a fork-started process pool.  Either way
@@ -27,13 +27,13 @@ import sys
 from dataclasses import dataclass
 from functools import partial, reduce
 from operator import add
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .asymptotics import M_from_sums, M_from_theta
-from .errors import NoFeasiblePointError
-from .mollifier import RATIO_WINDOW, solve_theta
+from .errors import NoFeasiblePointError, RatioOutOfRangeError
+from .mollifier import solve_theta
 from .trigpoly import (
     MAX_DEGREE,
     CosinePolynomial,
@@ -61,11 +61,6 @@ _STARTS_PER_WORKER = 16
 
 
 @dataclass(frozen=True)
-class Rejection:
-    reason: str
-
-
-@dataclass(frozen=True)
 class CandidateEval:
     poly: CosinePolynomial
     theta: float
@@ -83,48 +78,37 @@ class OptimizationResult:
     notes: Tuple[str, ...] = ()
 
 
-def evaluate_candidate(form: ProductForm) -> Union[CandidateEval, Rejection]:
-    """Expand, run the feasibility checks, and compute M for one form.
+def evaluate_candidate(form: ProductForm) -> CandidateEval:
+    """Expand one form and compute its theta and M.
 
-    Nonnegativity is automatic from the product structure, so rejections
-    can only come from the coefficient checks.
+    Nonnegativity is automatic from the product structure; solve_theta's
+    refusal of b0 and b1 propagates, as from compute_M.
     """
     poly = expand_product(form)
     b = poly.coeffs
-    reason = _infeasibility(b[0], b[1])
-    if reason is not None:
-        return Rejection(reason)
     theta = solve_theta(b[0], b[1])
     return CandidateEval(poly=poly, theta=theta, M=M_from_theta(b, theta))
-
-
-def _infeasibility(b0: float, b1: float) -> Optional[str]:
-    """The first feasibility check that (b0, b1) fails, or None."""
-    if b0 <= 0:
-        return "b0_not_positive"
-    if b1 <= 0:
-        return "b1_not_positive"
-    if not (RATIO_WINDOW[0] < b1 / b0 < RATIO_WINDOW[1]):
-        return "ratio_outside_window"
-    return None
 
 
 def _objective(x: Sequence[float], half: bool) -> float:
     """-M of the unit-scale product form with log root offsets x, or _PENALTY.
 
-    Offsets outside twice the root box, and forms that fail the feasibility
-    checks of evaluate_candidate, score _PENALTY.  M needs only b0, b1 and
+    Offsets outside twice the root box, and forms whose b0 and b1
+    solve_theta refuses, score _PENALTY.  M needs only b0, b1 and
     the coefficient sums, which _cosine_sums reads off the power-basis
     product, so no cosine expansion and no dataclass is built.  The box
-    check keeps every offset finite and positive.
+    check keeps every offset finite and positive, so every power-basis
+    coefficient is positive and so is sum_{j>=1} b_j.
     """
     roots = [math.exp(v) for v in x]
     if any(not (ROOT_BOX[0] * 0.5 <= a <= ROOT_BOX[1] * 2.0) for a in roots):
         return _PENALTY
     b0, b1, s_tail, s_all = _cosine_sums(_power_product(half, roots))
-    if _infeasibility(b0, b1) is not None:
+    try:
+        theta = solve_theta(b0, b1)
+    except (ValueError, RatioOutOfRangeError):
         return _PENALTY
-    return -M_from_sums(b0, s_tail, s_all, solve_theta(b0, b1))
+    return -M_from_sums(b0, s_tail, s_all, theta)
 
 
 def _scrambled_halton(dim: int, n: int, seed: int) -> np.ndarray:
@@ -302,8 +286,6 @@ def optimize(
 
     best_form = ProductForm(1.0, half_angle_factor, best_roots)
     best = evaluate_candidate(best_form)
-    if isinstance(best, Rejection):
-        raise NoFeasiblePointError(f"best candidate was rejected: {best.reason}")
     require_nonneg(best.poly)
 
     return OptimizationResult(

@@ -13,9 +13,12 @@ from zetafree.asymptotics import (
 )
 from zetafree.errors import DomainError, NonnegativityError, RatioOutOfRangeError
 from zetafree.mollifier import solve_theta
-from zetafree.trigpoly import CosinePolynomial, ProductForm, expand_product
+from zetafree.trigpoly import CosinePolynomial, ProductForm, expand_product, require_nonneg
 
 CLASSICAL = CosinePolynomial((3.0, 4.0, 1.0))
+# |q(e^{it})|^2 for q = (1, 1, 1, -1.2, -1.2, -1.2): nonnegative, with b1/b0 =
+# 1.005 inside the shape window, but sum_{j>=1} b_j = p(0) - b0 = 0.36 - 7.32
+TAIL_NEGATIVE = CosinePolynomial((7.32, 7.36, 0.08, -7.2, -4.8, -2.4))
 D5 = expand_product(ProductForm(1.0, True, (0.8652559, 0.1974476)))
 D4 = expand_product(ProductForm(1.0, False, (0.90176292, 0.22650717)))
 
@@ -55,6 +58,15 @@ def test_M_rejects_bad_ratio():
         compute_M(CosinePolynomial((4.0, 3.0, 1.0)))
 
 
+def test_M_rejects_a_nonpositive_tail_sum():
+    require_nonneg(TAIL_NEGATIVE)
+    solve_theta(7.32, 7.36)
+    with pytest.raises(ValueError, match=r"^sum of b_1\.\.b_d must be positive$"):
+        compute_M(TAIL_NEGATIVE)
+    with pytest.raises(ValueError, match=r"^sum of b_1\.\.b_d must be positive$"):
+        compute_C(TAIL_NEGATIVE, 4.45)
+
+
 def test_M_rejects_negative_polynomial():
     with pytest.raises(NonnegativityError):
         compute_M(CosinePolynomial((1.0, 1.9)))
@@ -73,6 +85,21 @@ def test_C_scaling_in_B():
 def test_C_coefficient_scale_invariant():
     assert compute_C(CLASSICAL.scaled(3.0), 4.45) == pytest.approx(
         compute_C(CLASSICAL, 4.45), rel=1e-14
+    )
+
+
+def test_C_scale_invariant_over_the_float_range():
+    # (3, 4, 1) * 10**k: unscaled, 4 * sum_j b_j overflows at k = 307
+    c = compute_C(CLASSICAL, 4.45)
+    for k in range(-300, 308):
+        b = tuple(float(f"{x:g}e{k}") for x in CLASSICAL.coeffs)
+        assert compute_C(CosinePolynomial(b), 4.45) == pytest.approx(c, rel=1e-12), k
+
+
+def test_C_of_lopsided_coefficients_stays_finite():
+    # scaling b0 = 1e-300 up to [0.5, 1) would take b1 past the float range
+    assert compute_C(CosinePolynomial((1e-300, 1e10)), 4.45) == pytest.approx(
+        (4.0 / (3.0 * 4.45)) ** (2.0 / 3.0), rel=1e-14
     )
 
 

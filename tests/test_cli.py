@@ -98,7 +98,7 @@ def test_dumps_canonical_rejects_what_json_cannot_hold():
 @pytest.mark.parametrize("kind", (float, np.float64, np.float32), ids=lambda k: k.__name__)
 @pytest.mark.parametrize("text", ("inf", "-inf", "nan"))
 def test_dumps_canonical_refuses_non_finite_floats(kind, text):
-    with pytest.raises(ValueError, match="is not a JSON number"):
+    with pytest.raises(ValueError, match=": output numbers must be finite$"):
         dumps_canonical({"rows": [[0.5, kind(text)]]})
 
 
@@ -205,6 +205,18 @@ def test_every_coeffs_command_refuses_a_dip_with_one_error_line(coeffs, capsys):
         errors.add(captured.err)
     [err] = errors
     assert err.startswith("error: polynomial dips to ") and err.count("\n") == 1
+
+
+def test_eval_poly_and_region_refuse_a_nonpositive_tail_sum_alike(capsys):
+    # nonnegative, b1/b0 inside the shape window, sum_{j>=1} b_j < 0
+    coeffs = "7.32,7.36,0.08,-7.2,-4.8,-2.4"
+    errors = set()
+    for command in ("eval-poly", "region"):
+        assert main([command, "--coeffs", coeffs]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors.add(captured.err)
+    assert errors == {"error: sum of b_1..b_d must be positive\n"}
 
 
 _NONFINITE_FLAGS = [
@@ -518,12 +530,14 @@ def test_mollifier_table_bad_lam(lam, capsys):
     assert "lam must be finite and > 0" in captured.err
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-def test_mollifier_table_refuses_an_overflowing_f_column(capsys):
-    argv = ["mollifier-table", "--b0", "3", "--b1", "4", "--lam", "1e307", "--step", "0.5"]
+@pytest.mark.parametrize("fmt", ("json", "csv"))
+def test_mollifier_table_refuses_an_overflowing_f_column(fmt, capsys):
+    argv = ["mollifier-table", "--b0", "3", "--b1", "4", "--lam", "1e307", "--step", "0.5",
+            "--format", fmt]
     assert main(argv) == 1
     captured = capsys.readouterr()
-    assert captured.out == "" and captured.err == "error: inf is not a JSON number\n"
+    assert captured.out == ""
+    assert captured.err == "error: cannot write inf: output numbers must be finite\n"
 
 
 def test_mollifier_table_makes_no_quadrature_call(monkeypatch, capsys):

@@ -366,6 +366,13 @@ def test_f_array_equals_scalar_calls():
         sh.f_eval(np.array([0.1, -0.1]))
 
 
+def test_f_overflows_quietly_to_inf_and_stays_zero_past_the_support():
+    # pytest turns a RuntimeWarning into an error, so this also checks there is none
+    sh = MollifierShape.from_coeffs(3.0, 4.0, lam=1e307)
+    assert sh.f_eval(np.array([0.0, 1.0])).tolist() == [math.inf, 0.0]
+    assert sh.f_eval(1.0) == 0.0
+
+
 def test_shape_stores_only_theta_coeffs_and_lam():
     assert [f.name for f in dataclasses.fields(MollifierShape)] == ["theta", "lam"]
 
