@@ -71,12 +71,20 @@ def M_from_sums(b0: float, s_tail: float, s_all: float, theta: float) -> float:
     return b0 * math.cos(theta) ** 2 / denom
 
 
+def _split_B(B: float) -> Tuple[float, int]:
+    """(m, k) with B = m * 8**k exactly, 1 <= m < 8 (m = B for DEFAULT_B):
+    B**(2/3) = m**(2/3) * 4**k and its inverse are finite for every B > 0."""
+    k = (math.frexp(B)[1] - 1) // 3
+    return math.ldexp(B, -3 * k), k
+
+
 def compute_C(p: CosinePolynomial, B: float) -> float:
     """Optimal constant in the eta asymptotic, for growth constant B."""
     if B <= 0:
         raise ValueError("B must be positive")
     _, s_tail, s_all = _scaled_sums(p.coeffs)
-    return (4.0 * s_all / (3.0 * B * s_tail)) ** (2.0 / 3.0)
+    m, k = _split_B(B)
+    return math.ldexp((4.0 * s_all / (3.0 * m * s_tail)) ** (2.0 / 3.0), -2 * k)
 
 
 def eta_of(t: float, C: float) -> float:
@@ -92,7 +100,9 @@ def lambda_of(t: float, B: float, M: float) -> float:
         raise DomainError("t must exceed e so that log log t is positive")
     if B <= 0 or M <= 0:
         raise ValueError("B and M must be positive")
-    return M / ((B * math.log(t)) ** (2.0 / 3.0) * math.log(math.log(t)) ** (1.0 / 3.0))
+    m, k = _split_B(B)
+    return M / (math.ldexp((m * math.log(t)) ** (2.0 / 3.0), 2 * k)
+                * math.log(math.log(t)) ** (1.0 / 3.0))
 
 
 def region_table(

@@ -79,7 +79,14 @@ class _PrimePowerCache:
     def ensure(self, limit: int) -> None:
         if limit <= self.limit:
             return
-        limit = max(limit, 2 * self.limit)
+        if self.limit:
+            # a table grows by doubling, for few rebuilds, but only up to the
+            # next power of ten, and to it from half way there: so a round
+            # cap, such as max_n = 10**7, caps it, and is reached in one step
+            top = 10 ** math.ceil(math.log10(limit))
+            limit = top if 2 * limit > top else max(limit, min(2 * self.limit, top))
+        # the old table goes first, so a rebuild never holds both
+        self.__init__()
         primes = _sieve_primes(limit)
         powers, log_base = _higher_powers(primes, limit)
         at = np.searchsorted(primes, powers)
@@ -182,15 +189,111 @@ class SeriesValue:
     N: int
 
 
+# Buthe, "An analytic method for bounding psi(x)", Math. Comp. 87 (2018),
+# Thm. 2: |psi(x) - x| <= BUTHE_SQRT * sqrt(x) for 11 < x <= BUTHE_X
+BUTHE_SQRT = 0.94
+BUTHE_X = 10**19
+# the k-ladder's main term sums K <= _LADDER_K_MAX shifts, N^(-2*eta*K) <= e^-_LADDER_E
+_LADDER_K_MAX, _LADDER_E = 4096, 40.0
+
+
+class _Cut:
+    """The cut of sum_j b_j sum_n Lambda(n) n^(-s_j), shifts s_j of one real
+    part sigma, or with eta > 0 of the k-ladder s + 2k*eta, k >= 0.
+
+    By partial summation against psi(x) = x + R(x), a shift's terms n > N
+    are N^(-s) (N/(s-1) - R(N)), the main term, plus E with, for 12 <= N <=
+    X = BUTHE_X (Buthe below X, PSI_RATIO above),
+        |E| <= BUTHE_SQRT (N^(1/2-sigma) |s|/(sigma-1/2) + X^(1/2-sigma))
+               + X^(1-sigma) (1/|s-1| + PSI_RATIO*sigma/(sigma-1)).
+    Each factor falls in k, so the ladder's N and X parts are the k = 0 ones
+    over 1 - N^(-2*eta) and 1 - X^(-2*eta); its main term's k >= K are
+    bounded geometrically.  Where this explicit bound does not apply or is
+    larger, there is no main term and the absolute bound
+    sum_j |b_j| tail_bound(N, sigma), over 1 - (N+1)^(-2*eta) on the ladder.
+    """
+
+    def __init__(self, s, b=(1.0,), eta=0.0):
+        self.s, self.b, self.eta = [complex(v) for v in s], b, eta
+        sigma = self.sigma = self.s[0].real
+        self.d, self.w = sigma - 0.5, sum(abs(v) for v in b)
+        self.A = BUTHE_SQRT * sum(abs(bj * sj) for bj, sj in zip(b, self.s)) / self.d
+        self.F = (self.w * BUTHE_SQRT * BUTHE_X**-self.d + BUTHE_X ** (1.0 - sigma) * sum(
+            abs(bj) * (1.0 / abs(sj - 1.0) + PSI_RATIO * sigma / (sigma - 1.0))
+            for bj, sj in zip(b, self.s))) / self._den(math.log(BUTHE_X))
+
+    def _den(self, log_n: float) -> float:
+        """1 - n^(-2*eta) on the ladder, else 1."""
+        return -math.expm1(-2.0 * self.eta * log_n) if self.eta else 1.0
+
+    def explicit(self, N: int) -> Tuple[float, int]:
+        """(bound, K) of the explicit cut at N; the bound is inf where it does not apply."""
+        log_n = math.log(N)
+        u = 2.0 * self.eta * log_n
+        if not 12 <= N <= BUTHE_X or self.eta and u * _LADDER_K_MAX < _LADDER_E:
+            return math.inf, 0
+        bound = self.A * math.exp(-self.d * log_n) / self._den(log_n) + self.F
+        if not self.eta:
+            return bound, 0
+        K = math.ceil(_LADDER_E / u)
+        # the main term's k >= K, each at most N^(-sigma-2k*eta) (N/(sigma-1) + |R(N)|)
+        return bound + math.exp(-self.sigma * log_n - K * u) * (
+            N / (self.sigma - 1.0) + BUTHE_SQRT * math.sqrt(N)) / -math.expm1(-u), K
+
+    def need(self, tol: float) -> int:
+        """The smallest N whose bound meets tol: the explicit bound's, from its
+        closed form, unless the absolute bound's (_n_for_tail) is smaller."""
+        if not self.w:  # every b_j is 0, and so is the series
+            return 1
+        N, rest = math.inf, tol - self.F
+        if rest > 0:  # A N^-d / (1 - N^(-2*eta)) = rest, by fixed-point steps on the ladder
+            L = L0 = math.log(self.A / rest) / self.d
+            for _ in range(30 if self.eta else 0):  # the steps alternate about the root
+                prev, L = L, L0 - math.log(self._den(max(L, 2.5))) / self.d
+                if abs(L - prev) * math.exp(min(L, 44.0)) < 0.5:
+                    break
+            # L is within 1/(2N) of the root, so N - 2 misses tol
+            N = max(12, math.ceil(math.exp(min(L, 44.0))) - 1)
+            while tol < self.explicit(N)[0] < math.inf:
+                N += 1
+            if not self.explicit(N)[0] <= tol:  # N above X, or K above its cap
+                N = math.inf
+        tau = tol * self._den(math.log(2.0)) / self.w
+        if N == math.inf or tail_bound(N, self.sigma) <= tau:
+            N = min(N, _n_for_tail(self.sigma, tau))
+        return N
+
+    def at(self, N: int) -> Tuple[complex, float]:
+        """(main term, bound) at N, for the smaller of the two bounds."""
+        absolute = self.w * tail_bound(N, self.sigma) / self._den(math.log(N + 1))
+        bound, K = self.explicit(N)
+        if not bound < absolute:
+            return 0j, absolute
+        _, lam, _ = _CACHE.upto(N)
+        R = float(np.add.reduce(lam)) - N
+        shifts = zip(self.b, self.s) if not self.eta else (
+            (1.0, self.s[0] + 2.0 * self.eta * k) for k in range(K))
+        return sum(bj * N ** -sj * (N / (sj - 1.0) - R) for bj, sj in shifts), bound
+
+
+def _cut(s, tol: float, max_n: int, b=(1.0,), eta: float = 0.0) -> Tuple[int, complex, float]:
+    """(N, main term, bound) of _Cut(s, b, eta) at its N for tol, capped at max_n."""
+    cut = _Cut(s, b, eta)
+    N = min(cut.need(tol), max_n)
+    return (N, *cut.at(N))
+
+
 def neg_zeta_logderiv(s: complex, tol: float, max_n: int = DEFAULT_MAX_N) -> SeriesValue:
-    """-zeta'/zeta(s) as a truncated Lambda series, tail bounded by tol."""
+    """-zeta'/zeta(s) as a truncated Lambda series plus its main term, within tol."""
     s = complex(s)
     _check_args("Re(s)", s.real, SERIES_RE_MIN, tol, max_n)
-    N = _n_for_tail(s.real, tol)
+    cut = _Cut([s])
+    N = cut.need(tol)
     if N > max_n:
         needs = f"N = {N}" if N <= 10**30 else "N above 10**30"
         raise CapacityError(f"tol {tol:.3g} at Re(s) = {s.real} needs {needs}, above the cap {max_n}")
-    return SeriesValue(value=_lambda_sum(s, N), tail_bound=tail_bound(N, s.real), N=N)
+    main, bound = cut.at(N)
+    return SeriesValue(value=_lambda_sum(s, N) + main, tail_bound=bound, N=N)
 
 
 # ---------------------------------------------------------------------------
@@ -298,15 +401,13 @@ def _k_sum(z: complex, eta: float, tol: float, max_n: int) -> Tuple[float, float
     Summed over k first, the terms of each prime power n form a geometric
     series, so with s = Re z + 2*eta and t = Im z the sum is
     sum_n Lambda(n) cos(t log n) n^(-s) / (1 - n^(-2*eta)), truncated at one
-    N.  Every n > N has 1 - n^(-2*eta) >= 1 - (N+1)^(-2*eta), so
-    tail_bound(N, s) over that bounds the rest.  N is the smallest with
-    tail_bound(N, s) <= tol * (1 - 2^(-2*eta)), which puts the bound at or
-    below tol, capped at max_n.  Raises DomainError first if the sum leaves
-    the float range.
+    N, the k-ladder s + it + 2k*eta of _cut, which adds the main term and
+    bounds the rest.  Raises DomainError first if the sum leaves the float
+    range.
     """
     _check_k_sum_range(z.real, eta)
     s, t = z.real + 2.0 * eta, z.imag
-    N = min(_n_for_tail(s, tol * -math.expm1(-2.0 * eta * math.log(2.0))), max_n)
+    N, main, bound = _cut([complex(s, t)], tol, max_n, eta=eta)
     _, lam, log_n = _CACHE.upto(N)
     # in place, two prefix-length arrays; the denominator is -expm1 because
     # 1/expm1(2*eta*log n) overflows at large eta
@@ -318,8 +419,7 @@ def _k_sum(z: complex, eta: float, tol: float, max_n: int) -> Tuple[float, float
     if t:  # no cosine at t = 0, where every cos(t log n) is 1
         terms *= np.cos(np.multiply(log_n, t, out=den), out=den)
     terms *= lam
-    bound = tail_bound(N, s) / -math.expm1(-2.0 * eta * math.log(N + 1))
-    return float(np.sum(terms)), bound, N
+    return float(np.sum(terms)) + main.real, bound, N
 
 
 def _lemma_z(z: complex, eta: float, tol: float, max_n: int = DEFAULT_MAX_N) -> complex:
@@ -400,9 +500,10 @@ def midpoint_bound_check(
 ) -> VerificationReport:
     """Check sum_{k>=1} -zeta'/zeta(sigma + 2k*eta) < log zeta(sigma+eta) / (2*eta).
 
-    The verdict uses the computed margin; the truncated sum only
-    underestimates the true sum (all dropped terms are positive), so the
-    conservative margin (bounds subtracted) is reported separately.
+    The verdict uses the computed margin.  The sum's error is two-sided
+    (the main term of _cut may over- or underestimate the tail), so the
+    conservative margin, with both error bounds subtracted, is reported
+    separately.
     """
     _check_args("sigma", sigma, DESK_RE_MIN, tol, max_n)
     if not (0.0 < eta < 1.0):
@@ -449,7 +550,9 @@ def applied_trig_sum(
     """Dual evaluation of sum_j -b_j Re zeta'/zeta(x + ijy).
 
     Both routes share the real weights w = Lambda(n) n^{-x} over one
-    truncation N, so they agree up to rounding.  Both run over the same
+    truncation N and the main term of the shifts x + ijy (_cut), so they
+    agree up to rounding; the bound, summed over the b_j, meets tol unless
+    max_n caps N.  Both run over the same
     blocks of points, with phi = y log n.  The Dirichlet route sums the
     series at each shifted point: term j is sum_n w cos(j phi), and with
     c = cos phi, cos(j phi) = T_j(c), so the block's terms come from one
@@ -462,8 +565,8 @@ def applied_trig_sum(
     """
     _check_args("x", x, DESK_RE_MIN, tol, max_n)
     require_nonneg(p)
-    N = min(_n_for_tail(x, tol), max_n)
     b = p.coeffs
+    N, main, bound = _cut([complex(x, j * y) for j in range(len(b))], tol, max_n, b)
     _, lam, log_n = _CACHE.upto(N)
     # the sieve route's terms w * p(phi), summed at once after the loop
     sieve_terms = np.empty_like(lam)
@@ -482,10 +585,8 @@ def applied_trig_sum(
             prev, t = t, two_c * t - prev
             terms[j] += np.sum(t)
     # -zeta'/zeta(x+ijy) is the Lambda series itself, so each term enters with +b_j
-    lhs = sum(bj * float(s) for bj, s in zip(b, terms))
-    rhs = float(np.sum(sieve_terms))
-    # the shared tail is bounded coefficient-by-coefficient
-    bound = sum(abs(bj) for bj in b) * tail_bound(N, x)
+    lhs = sum(bj * float(s) for bj, s in zip(b, terms)) + main.real
+    rhs = float(np.sum(sieve_terms)) + main.real
     diff = abs(lhs - rhs)
     return VerificationReport(
         lhs=lhs,

@@ -76,6 +76,24 @@ def test_C_classical_value():
     assert compute_C(CLASSICAL, 4.45) == pytest.approx((32.0 / 66.75) ** (2.0 / 3.0), rel=1e-14)
 
 
+@pytest.mark.parametrize("B", [1e-300, 1e308])
+def test_C_and_lambda_hold_their_scaling_at_extreme_B(B):
+    # C and lambda scale as B^(-2/3), finite here, though B/3 or B log t is not
+    scale = B ** (-2.0 / 3.0)
+    assert compute_C(CLASSICAL, B) == pytest.approx(compute_C(CLASSICAL, 1.0) * scale, rel=1e-13)
+    assert lambda_of(3e12, B, 0.055) == pytest.approx(lambda_of(3e12, 1.0, 0.055) * scale, rel=1e-13)
+    (row,) = region_table(CLASSICAL, B=B, t_values=[3e12])
+    assert 0.0 < row.eta < math.inf and 0.0 < row.lam < math.inf
+
+
+def test_C_and_lambda_take_B_as_given_in_one_to_eight():
+    # there B is not rescaled, so the values are those of the direct formulas
+    for B in (1.0, 4.45, 7.99):
+        assert compute_C(CLASSICAL, B) == (32.0 / (3.0 * B * 5.0)) ** (2.0 / 3.0)
+        assert lambda_of(3e12, B, 0.055) == 0.055 / (
+            (B * math.log(3e12)) ** (2.0 / 3.0) * math.log(math.log(3e12)) ** (1.0 / 3.0))
+
+
 def test_C_scaling_in_B():
     assert compute_C(CLASSICAL, 4.45) == pytest.approx(
         compute_C(CLASSICAL, 1.0) * 4.45 ** (-2.0 / 3.0), rel=1e-13

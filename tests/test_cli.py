@@ -219,6 +219,16 @@ def test_eval_poly_and_region_refuse_a_nonpositive_tail_sum_alike(capsys):
     assert errors == {"error: sum of b_1..b_d must be positive\n"}
 
 
+@pytest.mark.parametrize("B", ["1e308", "1e-310"])
+def test_coeffs_commands_take_a_huge_or_tiny_finite_B(B, capsys):
+    assert main(["eval-poly", "--coeffs", "3,4,1", "--B", B]) == 0
+    C = json.loads(capsys.readouterr().out)["result"]["C"]
+    assert 0.0 < C < math.inf
+    assert main(["region", "--coeffs", "3,4,1", "--B", B]) == 0
+    (row,) = json.loads(capsys.readouterr().out)["result"]["rows"]
+    assert row["lambda"] > 0.0 and row["eta"] > 0.0
+
+
 _NONFINITE_FLAGS = [
     ["eval-poly", "--coeffs", "3,4,1", "--B", "nan"],
     ["eval-poly", "--coeffs", "3,4,1", "--A", "inf"],
@@ -629,7 +639,12 @@ def test_verify_trig_reports_the_n_its_tolerance_needs(capsys):
                  "--tol", "1e-3", "--max-n", "1e7"]) == 0
     result = json.loads(capsys.readouterr().out)["result"]
     assert result["pass"] is True
-    assert result["params"]["N"] == 32561
+    # the smallest N whose bound, summed over b_j, meets tol: the explicit
+    # cut's (the absolute bound alone needed 32,561 for each b_j's tol)
+    shifts = [complex(1.75, j * 14.13) for j in range(3)]
+    N, _, bound = zetanum._cut(shifts, 1e-3, 10**7, (3.0, 4.0, 1.0))
+    assert result["params"]["N"] == N == 7352
+    assert result["lhs_error_bound"] == bound <= 1e-3
 
 
 def test_verify_failure_exits_two(monkeypatch, capsys):

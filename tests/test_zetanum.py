@@ -21,14 +21,19 @@ from zetafree.trigpoly import (
     require_nonneg,
 )
 from zetafree.zetanum import (
+    BUTHE_SQRT,
+    BUTHE_X,
+    DEFAULT_MAX_N,
     PSI_RATIO,
     _BERN,
     _CACHE,
     _EM_ORDER,
     _EVAL_BLOCK,
-    _PrimePowerCache,
     _check_k_sum_range,
+    _Cut,
+    _cut,
     _k_sum,
+    _PrimePowerCache,
     _lambda_sum,
     _n_for_tail,
     _sieve_primes,
@@ -45,6 +50,8 @@ from zetafree.zetanum import (
 MAXN = 10**7
 D5 = expand_product(ProductForm(1.0, True, (0.8652559, 0.1974476)))
 D9 = expand_product(ProductForm(1.0, True, (0.15, 0.45, 0.8, 1.2)))
+_D32_TAIL = np.random.default_rng(0).uniform(-1.0, 1.0, MAX_DEGREE).tolist()
+D32 = CosinePolynomial((0.5 + sum(abs(c) for c in _D32_TAIL), *_D32_TAIL))
 
 
 # ---------------------------------------------------------------------------
@@ -152,6 +159,21 @@ def test_prime_power_table_grown_equals_argsort_build():
     assert n[-1] == 4999 and len(n) == len(lam) == len(log_n)
 
 
+def test_prime_power_table_doubles_up_to_the_next_power_of_ten():
+    cache = _PrimePowerCache()
+    cache.ensure(600)
+    cache.ensure(700)  # past half of 1000, so to 1000, where doubling would give 1200
+    assert cache.limit == 1000
+    _assert_table_equals_argsort_build(cache, 1000)
+    cache.ensure(1001)
+    assert cache.limit == 2000
+    cache.ensure(4000)
+    assert cache.limit == 4000
+    cache.ensure(4001)  # 8000, below half of 10**4
+    assert cache.limit == 8000
+    _assert_table_equals_argsort_build(cache, 8000)
+
+
 # ---------------------------------------------------------------------------
 # Dirichlet series
 # ---------------------------------------------------------------------------
@@ -187,16 +209,18 @@ def test_tail_bound_is_genuine():
     coarse = neg_zeta_logderiv(s, 1e-4)
     fine = neg_zeta_logderiv(s, 1e-5)
     assert abs(coarse.value - fine.value) <= coarse.tail_bound
-    assert tail_bound(coarse.N, s.real) == pytest.approx(coarse.tail_bound)
+    assert (coarse.N, coarse.tail_bound) == _cut([s], 1e-4, DEFAULT_MAX_N)[::2]
 
 
 def test_capacity_error_names_the_n_the_tolerance_needs():
-    N = _n_for_tail(2.0, 1e-9)
-    assert tail_bound(N, 2.0) <= 1e-9 < tail_bound(N - 1, 2.0)
+    N = _Cut([2.0]).need(1e-9)
+    assert _Cut([2.0]).at(N)[1] <= 1e-9 < _Cut([2.0]).at(N - 1)[1]
     with pytest.raises(CapacityError, match=f"needs N = {N}, above the cap 100000"):
         neg_zeta_logderiv(2.0, 1e-9, max_n=10**5)
-    # here N is about 10**49, above 10**30, so the message does not spell it out
-    assert _n_for_tail(1.2, 1e-9) > 10**30
+    # here the explicit bound's floor is above tol and the absolute bound
+    # needs N of about 10**49, above 10**30, so the message does not spell it out
+    assert _Cut([1.2]).F > 1e-9
+    assert _Cut([1.2]).need(1e-9) == _n_for_tail(1.2, 1e-9) > 10**30
     with pytest.raises(CapacityError, match=r"needs N above 10\*\*30, above the cap 100000"):
         neg_zeta_logderiv(1.2, 1e-9, max_n=10**5)
 
@@ -250,6 +274,27 @@ def test_psi_ratio_bounds_psi_at_every_prime_power_to_1e7():
     assert ratio.max() <= PSI_RATIO
     assert n[np.argmax(ratio)] == 113
     assert ratio.max() > PSI_RATIO - 1e-5
+
+
+def test_buthe_bounds_psi_on_both_sides_of_every_jump_to_1e8():
+    # psi is constant between jumps, so (psi - x)^2 - BUTHE_SQRT^2 x, convex
+    # in x, is largest at an end: just after a jump, psi(n) - n, or just
+    # before the next one, psi(previous) - n.  x runs over (11, 10**8].
+    cache = _PrimePowerCache()  # its own table, freed after the test
+    cache.ensure(10**8)
+    n, psi = cache.n, np.cumsum(cache.lam)
+    worst = 0.0
+    for a in range(0, len(n), 1 << 20):
+        blk = slice(a, a + (1 << 20))
+        root = np.sqrt(n[blk])
+        after = np.where(n[blk] >= 11, np.abs(psi[blk] - n[blk]) / root, 0.0)
+        psi_before = np.concatenate(([psi[a - 1] if a else 0.0], psi[blk][:-1]))
+        before = np.where(n[blk] > 11, np.abs(psi_before - n[blk]) / root, 0.0)
+        worst = max(worst, after.max(), before.max())
+    assert n[-1] <= 10**8 < n[-1] + 30
+    assert worst <= BUTHE_SQRT
+    # the largest ratio is 0.852, just below the jump at 17: psi(16) = log lcm(1..16)
+    assert worst == pytest.approx((17 - math.log(720720)) / math.sqrt(17), rel=1e-12)
 
 
 @settings(max_examples=40, deadline=None)
@@ -552,8 +597,13 @@ def _k_sum_complex(z, eta, tol, max_n):
 
 
 def _k_sum_bound(sigma, eta, N):
-    """The closed form's bound: tail_bound(N, s) / (1 - (N+1)^(-2*eta)), s = sigma + 2*eta."""
+    """The closed form's absolute bound: tail_bound(N, s) / (1 - (N+1)^(-2*eta)), s = sigma + 2*eta."""
     return tail_bound(N, sigma + 2.0 * eta) / -math.expm1(-2.0 * eta * math.log(N + 1))
+
+
+def _ladder(z, eta):
+    """The _Cut of the k-sum at z: the shifts z + 2k*eta, k >= 1."""
+    return _Cut([z + 2.0 * eta], eta=eta)
 
 
 _SIGMA = st.floats(1.25, 3.0)
@@ -570,17 +620,26 @@ def test_k_sum_matches_complex_series(sigma, t, N, eta, tol):
     z = complex(sigma, t)
     terms, _, err_ref, _, scale = _k_sum_complex(z, eta, tol, N)
     total, got_err, N_used = _k_sum(z, eta, tol, N)
-    assert N_used == min(_n_for_tail(sigma + 2.0 * eta, tol * -math.expm1(-2.0 * eta * math.log(2.0))), N)
-    assert got_err == _k_sum_bound(sigma, eta, N_used)
+    assert N_used == min(_ladder(z, eta).need(tol), N)
+    assert got_err == _ladder(z, eta).at(N_used)[1] <= _k_sum_bound(sigma, eta, N_used)
     assert N_used == N or got_err <= tol
     assert abs(total - math.fsum(terms)) <= err_ref + got_err + 1e-13 * scale
 
 
 def _k_sum_by_terms(z, eta, N):
-    """sum over k of _lambda_sum(z + 2k*eta, N).real, up to the first term below 1e-18."""
-    terms = [_lambda_sum(z + 2.0 * eta, N).real]
-    while abs(terms[-1]) >= 1e-18:
-        terms.append(_lambda_sum(z + 2.0 * (len(terms) + 1) * eta, N).real)
+    """sum over k >= 1 of Re sum_{n <= N} Lambda(n) n^-(z + 2k*eta), up to the
+    first term below 1e-18.  Each term is one row of a (k x n) array, whose
+    entries Lambda(n) cos(t log n) n^-(Re z + 2k*eta) are summed in blocks."""
+    _, lam, log_n = _CACHE.upto(N)
+    head = lam * np.cos(z.imag * log_n) * np.exp(-z.real * log_n)
+    terms = []
+    while not terms or abs(terms[-1]) >= 1e-18:
+        k = len(terms) + 1 + np.arange(64)
+        rows = np.zeros(len(k))
+        for a in range(0, len(head), 4096):
+            rows += np.exp(np.multiply.outer(-2.0 * eta * k, log_n[a : a + 4096])) @ head[a : a + 4096]
+        small = np.flatnonzero(np.abs(rows) < 1e-18)
+        terms.extend(rows[: small[0] + 1] if len(small) else rows)
     return math.fsum(terms)
 
 
@@ -593,10 +652,13 @@ def test_k_sum_closed_form_matches_per_k_series(sigma, t, eta, N):
     # at this tol every N is capped, so both sides sum the same prime powers
     total, err, N_used = _k_sum(z, eta, 1e-300, N)
     assert N_used == N
-    assert err == _k_sum_bound(sigma, eta, N)
+    _, main, bound = _cut([z + 2.0 * eta], 1e-300, N, eta=eta)
+    assert err == bound <= _k_sum_bound(sigma, eta, N)
     _, lam, log_n = _CACHE.upto(N)
     scale = float(np.sum(lam * np.exp(-sigma * log_n) / np.expm1(2.0 * eta * log_n)))
-    assert abs(total - _k_sum_by_terms(z, eta, N)) <= 1e-13 * scale
+    # the main term of the cut enters once, with the rounding of one addition
+    want = _k_sum_by_terms(z, eta, N) + main.real
+    assert abs(total - want) <= 1e-13 * scale + 2.0**-52 * abs(want)
 
 
 @pytest.mark.parametrize("max_n", [MAXN, 100])
@@ -604,17 +666,17 @@ def test_k_sum_checks_report_their_truncation_n(max_n):
     sigma, t, eta, tol = 1.5, 10.0, 0.25, 1e-3
     lemma = lemma_check(complex(sigma, t), eta, tol=tol, max_n=max_n)
     midpoint = midpoint_bound_check(sigma, eta, tol=tol, max_n=max_n)
-    N = lemma.params["N"]
-    assert midpoint.params["N"] == N
-    for report in (lemma, midpoint):
-        assert report.lhs_error_bound == _k_sum_bound(sigma, eta, N)
     assert lemma.lhs == lemma_lhs(complex(sigma, t), eta, tol, max_n)[0]
-    if max_n == 100:
-        assert N == 100
-    else:
-        # the smallest N whose bound meets tol
-        s, denom = sigma + 2.0 * eta, -math.expm1(-2.0 * eta * math.log(2.0))
-        assert tail_bound(N, s) <= tol * denom < tail_bound(N - 1, s)
+    # the explicit bound grows with |Im z|, so the two N differ
+    for report, z in ((lemma, complex(sigma, t)), (midpoint, complex(sigma))):
+        N, cut = report.params["N"], _ladder(z, eta)
+        assert report.lhs_error_bound == cut.at(N)[1]
+        if max_n == 100:
+            assert N == 100
+        else:
+            # the smallest N whose bound meets tol, which the explicit bound sets
+            assert cut.at(N)[1] <= tol < cut.at(N - 1)[1]
+            assert cut.at(N)[1] == cut.explicit(N)[0] < _k_sum_bound(z.real, eta, N)
 
 
 def test_lemma_lhs_small_eta_reports_its_bound():
@@ -628,14 +690,125 @@ def test_lemma_lhs_small_eta_reports_its_bound():
 @example(2.0, 0.0, 10**6, 1e-10, D9)
 def test_dirichlet_route_matches_complex_series(x, y, N, tol, p):
     report = applied_trig_sum(p, x, y, tol=tol, max_n=N)
-    N_used = min(_n_for_tail(x, tol), N)
     b = p.coeffs
+    N_used, main, bound = _cut(_trig_shifts(b, x, y), tol, N, b)
     oracle = math.fsum(bj * _lambda_sum(complex(x, j * y), N_used).real for j, bj in enumerate(b))
     scale = sum(abs(bj) for bj in b) * _lambda_sum(x, N_used).real
     assert report.params["N"] == N_used
-    assert report.lhs_error_bound == report.rhs_error_bound == (
+    assert report.lhs_error_bound == report.rhs_error_bound == bound <= (
         sum(abs(bj) for bj in b) * tail_bound(N_used, x))
-    assert abs(report.lhs - oracle) <= 1e-13 * scale
+    assert N_used == N or bound <= tol
+    assert abs(report.lhs - (oracle + main.real)) <= 1e-13 * scale + 2.0**-52 * abs(report.lhs)
+
+
+def _trig_shifts(b, x, y):
+    """applied_trig_sum's shifts x + ijy, j = 0..d."""
+    return [complex(x, j * y) for j in range(len(b))]
+
+
+def _trig_main(p, x, y, tol, N):
+    """The real part of the main term applied_trig_sum adds to both routes."""
+    return _cut(_trig_shifts(p.coeffs, x, y), tol, N, p.coeffs)[1].real
+
+
+# ---------------------------------------------------------------------------
+# the explicit-formula cut against mpmath
+# ---------------------------------------------------------------------------
+
+def _mp_neg_logderiv(s):
+    """-zeta'/zeta(s) at 30 digits, as a complex."""
+    with mp.workdps(30):
+        z = mp.mpc(s.real, s.imag)
+        return complex(-mp.zeta(z, derivative=1) / mp.zeta(z))
+
+
+_MP_TOL = st.sampled_from([1e-3, 1e-6])
+# the float sums' rounding, far below every bound
+_ROUNDING = 1e-12
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.floats(1.25, 3.0), st.floats(-50.0, 50.0), _MP_TOL)
+@example(1.25, 0.0, 1e-6)
+@example(1.5, 0.0, 1e-6)
+@example(1.3, 14.13, 1e-3)
+def test_corrected_series_is_within_its_bound_of_mpmath(sigma, t, tol):
+    s = complex(sigma, t)
+    N, main, bound = _cut([s], tol, MAXN)
+    value = _lambda_sum(s, N) + main
+    if N < MAXN:
+        assert neg_zeta_logderiv(s, tol, max_n=MAXN) == zetanum.SeriesValue(value, bound, N)
+    assert N == MAXN or bound <= tol
+    assert abs(value - _mp_neg_logderiv(s)) <= bound + _ROUNDING
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.floats(1.25, 3.0), st.floats(-50.0, 50.0), st.floats(0.05, 0.5), _MP_TOL)
+@example(1.3, 10.0, 0.1, 1e-6)
+@example(1.25, 0.0, 0.05, 1e-3)
+def test_corrected_k_sum_is_within_its_bound_of_mpmath(sigma, t, eta, tol):
+    z = complex(sigma, t)
+    value, bound, N = _k_sum(z, eta, tol, MAXN)
+    assert N == MAXN or bound <= tol
+    # mpmath for Re < 4; beyond, the series to 10**5, whose tails are below 1e-14 there
+    k0 = math.ceil((4.0 - sigma) / (2.0 * eta))
+    head = sum(_mp_neg_logderiv(z + 2.0 * k * eta).real for k in range(1, k0))
+    rest = _k_sum_by_terms(z + 2.0 * (k0 - 1) * eta, eta, 10**5)
+    assert abs(value - head - rest) <= bound + _ROUNDING
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.sampled_from([CosinePolynomial((3.0, 4.0, 1.0)), D5]), st.floats(1.25, 3.0),
+       st.floats(-50.0, 50.0), _MP_TOL)
+@example(CosinePolynomial((3.0, 4.0, 1.0)), 1.3, 14.13, 1e-3)
+def test_corrected_applied_trig_sum_is_within_its_bound_of_mpmath(p, x, y, tol):
+    report = applied_trig_sum(p, x, y, tol=tol, max_n=MAXN)
+    assert report.params["N"] == MAXN or report.lhs_error_bound <= tol
+    exact = sum(bj * _mp_neg_logderiv(complex(x, j * y)).real for j, bj in enumerate(p.coeffs))
+    assert abs(report.lhs - exact) <= report.lhs_error_bound + _ROUNDING
+    assert abs(report.rhs - exact) <= report.rhs_error_bound + _ROUNDING
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.floats(1.1, 30.0), st.floats(-50.0, 50.0), st.integers(1, MAXN),
+       st.floats(1e-6, 2.0), st.sampled_from([CosinePolynomial((3.0, 4.0, 1.0)), D5, D32]))
+@example(1.25, 0.0, 11, 0.1, D5)
+@example(1.25, 0.0, 12, 0.1, D5)
+@example(1.3, 14.13, MAXN, 0.1, CosinePolynomial((3.0, 4.0, 1.0)))
+@example(20.0, 0.0, 12, 1.0, CosinePolynomial((3.0, 4.0, 1.0)))
+def test_reported_bound_is_never_above_the_absolute_one(sigma, t, N, eta, p):
+    # at tol 1e-300 every N is capped, so each cut sits at N
+    s = complex(sigma, t)
+    assert _cut([s], 1e-300, N)[2] <= tail_bound(N, sigma)
+    assert _cut([s + 2.0 * eta], 1e-300, N, eta=eta)[2] <= _k_sum_bound(sigma, eta, N)
+    b = p.coeffs
+    weight = sum(abs(bj) for bj in b)
+    assert _cut(_trig_shifts(b, sigma, t), 1e-300, N, b)[2] <= weight * tail_bound(N, sigma)
+
+
+def test_explicit_cut_needs_far_fewer_prime_powers():
+    # (shift, tol, N): the absolute bound alone needs about 7.3e14, 9.7e12,
+    # 1.5e12 and 2.1e6
+    for s, tol, N in ((1.25, 1e-3, 23086), (1.5, 1e-6, 1412286),
+                      (1.3 + 14.13j, 1e-3, 191641), (2.0, 1e-6, 11625)):
+        assert _Cut([s]).need(tol) == N
+        assert _n_for_tail(s.real, tol) > 2e6
+    # both bounds need N >= 12, so a tol met below that keeps the absolute cut
+    assert _Cut([20.0]).need(1e-10) == _n_for_tail(20.0, 1e-10) < 12
+    # the floor above N = 10**19 is 1.6e-4 at sigma = 1.25: a tol below it keeps the absolute cut
+    assert 1e-4 < _Cut([1.25]).F < 2e-4
+    assert _Cut([1.25]).need(1e-4) == _n_for_tail(1.25, 1e-4)
+
+
+def test_verifiers_meet_tol_near_the_window_edge():
+    report = applied_trig_sum(CosinePolynomial((3.0, 4.0, 1.0)), 1.3, 14.13, tol=1e-3, max_n=MAXN)
+    assert report.passed and report.lhs_error_bound <= 1e-3 and report.params["N"] <= 3 * 10**6
+    _, err = lemma_lhs(1.3 + 10j, 0.1, 1e-6, max_n=MAXN)
+    assert err <= 1e-6
+    # at the cap the smaller bound is reported: 0.02 where the absolute one is 0.74
+    report = applied_trig_sum(CosinePolynomial((3.0, 4.0, 1.0)), 1.25, 49.9, tol=1e-3, max_n=MAXN)
+    assert report.params["N"] == MAXN and report.passed
+    assert report.lhs_error_bound < 0.05 < 8.0 * tail_bound(MAXN, 1.25)
 
 
 def _dirichlet_per_j(b, x, y, N):
@@ -671,11 +844,9 @@ def test_dirichlet_route_matches_per_j_cosines(p, x, y, N):
     report = applied_trig_sum(p, x, y, tol=1e-15, max_n=N)
     assert report.params["N"] == N
     oracle, sum_w = _dirichlet_per_j(p.coeffs, x, y, N)
-    assert abs(report.lhs - oracle) <= 1e-13 * sum(abs(bj) for bj in p.coeffs) * sum_w
-
-
-_D32_TAIL = np.random.default_rng(0).uniform(-1.0, 1.0, MAX_DEGREE).tolist()
-D32 = CosinePolynomial((0.5 + sum(abs(c) for c in _D32_TAIL), *_D32_TAIL))
+    oracle += _trig_main(p, x, y, 1e-15, N)
+    assert abs(report.lhs - oracle) <= (
+        1e-13 * sum(abs(bj) for bj in p.coeffs) * sum_w + 2.0**-52 * abs(report.lhs))
 
 
 @pytest.mark.parametrize("p", [CosinePolynomial((3.0, 4.0, 1.0)), D5, D9, D32],
@@ -693,8 +864,11 @@ def test_dirichlet_route_matches_mpmath(p, x, y):
             phi = mp.mpf(y) * mp.log(m)
             sum_w += w
             lhs += w * mp.fsum(bj * mp.cos(j * phi) for j, bj in enumerate(p.coeffs))
-    # the rounding of y log n, which d/dphi cos(j phi) amplifies by j, sets the floor
-    assert abs(report.lhs - float(lhs)) <= 1e-14 * sum(abs(bj) for bj in p.coeffs) * float(sum_w)
+    # the rounding of y log n, which d/dphi cos(j phi) amplifies by j, sets
+    # the floor; the main term adds the rounding of one addition
+    lhs += _trig_main(p, x, y, 1e-10, N)
+    assert abs(report.lhs - float(lhs)) <= (
+        1e-14 * sum(abs(bj) for bj in p.coeffs) * float(sum_w) + 2.0**-52 * abs(report.lhs))
 
 
 @pytest.mark.parametrize("N", [_TWO_BLOCKS_N, 3 * 10**6])
@@ -706,12 +880,13 @@ def test_sieve_route_is_blockwise_eval_poly(N):
     weights = lam * np.exp(-x * log_n)
     vals = np.concatenate([eval_poly(D9, y * log_n[a : a + _EVAL_BLOCK])
                            for a in range(0, len(n), _EVAL_BLOCK)])
-    assert report.rhs == float(np.sum(weights * vals))
+    assert report.rhs == float(np.sum(weights * vals)) + _trig_main(D9, x, y, 1e-10, N)
 
 
 def _applied_trig_two_cosines(p, x, y, N):
     """(lhs, rhs) by applied_trig_sum's block loop with eval_poly taking its
-    own cosine, as applied_trig_sum once computed them."""
+    own cosine, as applied_trig_sum once computed them, plus the main term
+    of its cut at tol 1e-15."""
     _, lam, log_n = _CACHE.upto(N)
     b = p.coeffs
     sieve_terms = np.empty_like(lam)
@@ -728,7 +903,8 @@ def _applied_trig_two_cosines(p, x, y, N):
         for j in range(2, len(b)):
             prev, t = t, two_c * t - prev
             terms[j] += np.sum(t)
-    return sum(bj * float(s) for bj, s in zip(b, terms)), float(np.sum(sieve_terms))
+    main = _trig_main(p, x, y, 1e-15, N)
+    return sum(bj * float(s) for bj, s in zip(b, terms)) + main, float(np.sum(sieve_terms)) + main
 
 
 @settings(max_examples=30, deadline=None)
@@ -924,6 +1100,12 @@ _CALLS_WITH_MAX_N = {
 def test_max_n_must_be_at_least_one(name, max_n):
     with pytest.raises(ValueError, match=f"max_n must be >= 1, got {max_n!r}"):
         _CALLS_WITH_MAX_N[name](max_n)
+
+
+def test_the_zero_polynomial_sums_to_zero_with_no_error():
+    report = applied_trig_sum(CosinePolynomial((0.0, 0.0)), 2.0, 1.0, tol=1e-3, max_n=1000)
+    assert report.passed and report.params["N"] == 1
+    assert report.lhs == report.rhs == report.lhs_error_bound == 0.0
 
 
 def test_max_n_one_truncates_to_the_empty_sum():
