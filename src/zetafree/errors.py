@@ -30,4 +30,4 @@ class NoFeasiblePointError(ZetafreeError):
 
 
 class QuadratureError(ZetafreeError):
-    """Adaptive quadrature reached its panel cap short of the requested tolerance."""
+    """A quadrature rule reached its panel or node cap short of the requested tolerance."""

@@ -11,7 +11,7 @@ and F, W are the Laplace transforms of f and w.  g is a trigonometric
 polynomial on its support, so w is elementary and w_eval evaluates it in
 closed form; F(0) and -W'(0) have closed forms too, taken from series where
 they cancel.  W, and F through it, is one adaptive quadrature of
-w(u)*exp(-s*u) over the compact support, to the fixed absolute error W_TOL.
+w(u)*exp(-s*u) over the compact support, to W_TOL or 2**-46 of a bound on |W|.
 """
 
 import math
@@ -20,11 +20,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import RatioOutOfRangeError
-from .quadrature import _require_tol, adaptive_quad
+from .errors import QuadratureError, RatioOutOfRangeError
+from .quadrature import adaptive_quad
 
 RATIO_WINDOW = (1.0, 3.0)
-# W_eval's quadrature target, an absolute error
+# W_eval's quadrature target, an absolute error, unless it is below rounding
 W_TOL = 1e-11
 
 # The shape equation reads h(theta) = b1/b0 with
@@ -50,11 +50,13 @@ def _bernoulli(n_max: int) -> list:
     return B
 
 
+_BERNOULLI = _bernoulli(2 * _SERIES_TERMS + 2)  # B_0..B_30, also zetanum's
+
+
 def _shape_series():
     u, sin2 = [], []
-    bernoulli = _bernoulli(2 * _SERIES_TERMS + 2)
     for n in range(1, _SERIES_TERMS + 2):
-        u.append(abs(bernoulli[2 * n]) * 4**n / math.factorial(2 * n))
+        u.append(abs(_BERNOULLI[2 * n]) * 4**n / math.factorial(2 * n))
         sin2.append(Fraction((-1) ** (n + 1) * 2 ** (2 * n - 1), math.factorial(2 * n)))
     U = tuple(float(c) for c in u[:_SERIES_TERMS])
     N = tuple(float(3 * u[n] - sin2[n]) for n in range(1, _SERIES_TERMS + 1))
@@ -114,6 +116,14 @@ _F0_SERIES, _NEG_WPRIME0_SERIES = _moment_series()
 # theta as a cubic in sqrt(q), least-squares fit on (0, pi/2); max error 0.011
 _GUESS = (0.9557489301145423, -0.14345517047258544, 0.17519896572112303)
 _MAX_NEWTON = 100
+
+
+def _poly(coeffs, x):
+    """sum coeffs[k] * x^k by Horner's rule: _horner's value, bit for bit."""
+    value = 0.0
+    for c in reversed(coeffs):
+        value = value * x + c
+    return value
 
 
 def _horner(coeffs, x):
@@ -231,8 +241,8 @@ def w_eval(theta: float, u):
     # products, not ** 2: numpy squares a scalar through pow, which can differ
     # from an array's exact square in the last bit
     one_minus = 2.0 * np.sin(0.5 * theta) ** 2 + 2.0 * c * (half * half)
-    m_minus_sin = m * x * _horner(_M_MINUS_SIN, x)[0]
-    tail = m * x * x * _horner(_W_TAIL, x)[0]
+    m_minus_sin = m * x * _poly(_M_MINUS_SIN, x)
+    tail = m * x * x * _poly(_W_TAIL, x)
     vals = (2.0 * m * (cos_diff * cos_diff) - 4.0 * one_minus * m_minus_sin + tail) / (k * c**4)
     return float(vals) if np.isscalar(u) else vals
 
@@ -254,7 +264,7 @@ def F0_closed(theta: float) -> float:
     if theta < _F0_SERIES_THETA:
         y = 2.0 * theta
         x = y * y
-        return y * x * x * _horner(_F0_SERIES, x)[0] / (math.cos(theta) ** 2 * math.sin(y))
+        return y * x * x * _poly(_F0_SERIES, x) / (math.cos(theta) ** 2 * math.sin(y))
     t = math.tan(theta)
     return 2.0 * t**2 + 3.0 - 3.0 * theta * (t + 1.0 / t)
 
@@ -268,20 +278,24 @@ def negWprime0_closed(theta: float) -> float:
     its numerator over 3 sin^3(theta) cos(theta).
     """
     x = theta * theta
-    numerator = theta * x**3 * _horner(_NEG_WPRIME0_SERIES, x)[0]
+    numerator = theta * x**3 * _poly(_NEG_WPRIME0_SERIES, x)
     return numerator / (3.0 * math.sin(theta) ** 3 * math.cos(theta))
 
 
 def W_eval(theta: float, s) -> complex:
     """Laplace transform of w: integral of w(u)*exp(-s*u) over the support.
 
-    Raises QuadratureError if the quadrature's error estimate stays above W_TOL.
+    As w >= 0, |W(s)| <= W(0) max(1, e^(-Re(s) sup)), W(0) = 2 (1 - theta cot
+    theta)^2 / cos^2 theta; the target is max(W_TOL, 2**-46 of that), the
+    exponent capped below overflow.  QuadratureError if the estimate misses it.
     """
     sup = 2.0 * g_support(theta)
     s = complex(s)
-
-    val, err = adaptive_quad(lambda u: w_eval(theta, u) * np.exp(-s * u), 0.0, sup, tol=W_TOL)
-    _require_tol(err, W_TOL)
+    w_mass = 2.0 * (1.0 - 0.5 * sup) ** 2 / math.cos(theta) ** 2  # W(0)
+    tol = max(W_TOL, 2.0**-46 * w_mass * math.exp(min(max(0.0, -s.real * sup), 709.0)))
+    val, err = adaptive_quad(lambda u: w_eval(theta, u) * np.exp(-s * u), 0.0, sup, tol=tol)
+    if not err <= tol:  # a nan estimate misses too
+        raise QuadratureError(f"error estimate {err:.3g} above the requested tol {tol:.3g}")
     return complex(val)
 
 

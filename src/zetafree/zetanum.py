@@ -24,13 +24,14 @@ from typing import Dict, Tuple
 import numpy as np
 
 from .errors import CapacityError, DomainError
-from .mollifier import _bernoulli
-from .quadrature import _require_tol, adaptive_quad
+from .mollifier import _BERNOULLI
+from .quadrature import strip_gauss
 from .trigpoly import CosinePolynomial, _eval_cos, require_nonneg
 
 DEFAULT_MAX_N = 10**8
 SERIES_RE_MIN = 1.1
 DESK_RE_MIN = 1.25
+_STRIP = 0.45 * math.pi  # lemma_rhs bounds its integrand on |Im u| <= _STRIP, inside pi/2
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +303,7 @@ def neg_zeta_logderiv(s: complex, tol: float, max_n: int = DEFAULT_MAX_N) -> Ser
 
 _EM_ORDER = 14
 # B_0..B_{2*_EM_ORDER}, each the float nearest the exact rational
-_BERN = tuple(float(b) for b in _bernoulli(2 * _EM_ORDER))
+_BERN = tuple(float(b) for b in _BERNOULLI[: 2 * _EM_ORDER + 1])
 # the correction terms' weights B_2j/(2j)! and powers 1 - 2j of N, j = 1.._EM_ORDER
 _EM_COEF = np.array([_BERN[2 * j] / math.factorial(2 * j) for j in range(1, _EM_ORDER + 1)])
 _EM_EXP = 1.0 - 2.0 * np.arange(1, _EM_ORDER + 1)
@@ -442,9 +443,12 @@ def lemma_rhs(z: complex, eta: float, tol: float) -> Tuple[float, float]:
 
     The integrand is log|zeta| on the line Re = Re(z) + eta weighted by
     cosh^-2; |log|zeta(s)|| <= log zeta(Re s) bounds the truncated wings
-    via int_{|u|>U} cosh^-2 = 2(1 - tanh U) <= 4 e^{-2U}.  Raises
-    QuadratureError if the quadrature's error estimate stays above eta*tol.
-    Raises DomainError if eta is so small that the bound
+    via int_{|u|>U} cosh^-2 = 2(1 - tanh U) <= 4 e^{-2U}.  On [-U, U] it
+    is (log zeta(z+eta+2i*eta*u/pi) + log zeta(conj z+eta-2i*eta*u/pi)) /
+    (2 cosh^2 u); for |Im u| <= _STRIP both real parts are >= x = Re z +
+    eta (1 - 2 _STRIP/pi), so it is at most log(x/(x-1)) / cos^2 _STRIP,
+    and strip_gauss meets eta*tol with a proven bound (zeta_em's error
+    aside).  Raises DomainError if eta is so small that the bound
     log zeta(Re z + eta) / (2*eta) on the value leaves the float range, or
     if the target eta*tol is at or below 2**-52 times the integral's
     bound 2*log zeta(Re z + eta), which floats cannot resolve.
@@ -462,13 +466,13 @@ def lemma_rhs(z: complex, eta: float, tol: float) -> Tuple[float, float]:
     # truncation: sup_log * 4*exp(-2U) / (4*eta) <= tol/2
     U = 0.5 * math.log(max(2.0 * sup_log / (eta * tol), 10.0))
     trunc = sup_log * 4.0 * math.exp(-2.0 * U) / (4.0 * eta)
+    M = math.log1p(1.0 / (sigma_line - eta * 2.0 * _STRIP / math.pi - 1.0)) / math.cos(_STRIP) ** 2
 
     def integrand(u):
         return np.log(np.abs(zeta_em(z + eta + 2.0 * eta * 1j * u / math.pi))) / np.cosh(u) ** 2
 
-    val, quad_err = adaptive_quad(integrand, -U, U, tol=eta * tol)
-    _require_tol(quad_err, eta * tol)
-    return float(val) / (4.0 * eta), quad_err / (4.0 * eta) + trunc
+    val, quad_bound = strip_gauss(integrand, -U, U, _STRIP, M, eta * tol)
+    return float(val) / (4.0 * eta), quad_bound / (4.0 * eta) + trunc
 
 
 def lemma_check(

@@ -358,7 +358,7 @@ def test_eta_below_the_float_range_exits_one_without_output(capsys):
 def test_tiny_eta_reports_no_negative_error_bound(monkeypatch, capsys):
     # eta*tol = 1e-203 is far below the rounding of the integral, so
     # lemma_rhs refuses it before any quadrature, and no bound is printed
-    monkeypatch.setattr(zetanum, "adaptive_quad", None)
+    monkeypatch.setattr(zetanum, "strip_gauss", None)
     start = time.perf_counter()
     assert main(_tiny_eta_argv("1e-200")) == 1
     assert time.perf_counter() - start < 1.0
@@ -554,7 +554,7 @@ def test_mollifier_table_makes_no_quadrature_call(monkeypatch, capsys):
     argv = ["mollifier-table", "--b0", "3", "--b1", "4", "--step", "0.05"]
     assert main(argv) == 0
     expected = capsys.readouterr().out
-    calls = {"adaptive_quad": 0}
+    calls = {"adaptive_quad": 0, "strip_gauss": 0}
     for modname, module in list(sys.modules.items()):
         if modname != "zetafree" and not modname.startswith("zetafree."):
             continue
@@ -568,7 +568,7 @@ def test_mollifier_table_makes_no_quadrature_call(monkeypatch, capsys):
 
                 monkeypatch.setattr(module, name, counted)
     assert main(argv) == 0
-    assert calls == {"adaptive_quad": 0}
+    assert calls == {"adaptive_quad": 0, "strip_gauss": 0}
     assert capsys.readouterr().out == expected
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import time
 
 import mpmath as mp
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from zetafree import quadrature
+from zetafree import mollifier, quadrature
 from zetafree.errors import QuadratureError, RatioOutOfRangeError
 from zetafree.mollifier import (
     F0_closed,
@@ -220,6 +221,16 @@ def test_w_array_equals_scalar_calls():
     assert (vals[u >= 2.0 * g_support(th)] == 0.0).all()
 
 
+@pytest.mark.parametrize("theta", (1e-3, 0.05, 0.3, 0.6, 0.9, 1.2, 1.5699))
+def test_w_eval_keeps_its_bits_with_value_only_series(monkeypatch, theta):
+    # the series sums once came from _horner, which also took a derivative
+    u = np.linspace(0.0, 2.0 * g_support(theta), 33)
+    values = w_eval(theta, u), [w_eval(theta, float(x)) for x in u]
+    monkeypatch.setattr(mollifier, "_poly", lambda coeffs, x: mollifier._horner(coeffs, x)[0])
+    assert w_eval(theta, u).tolist() == values[0].tolist()
+    assert [w_eval(theta, float(x)) for x in u] == values[1]
+
+
 def test_w_rejects_negative_u():
     with pytest.raises(ValueError):
         w_eval(0.9, -0.1)
@@ -300,19 +311,43 @@ def test_W_real_for_real_argument():
 # W_eval(theta, -1) at the benchmark's closed-form angles, as the float hex
 # strings computed when each panel called its integrand twice (15 nodes, then 7).
 # numpy's AVX-512 sin/tan give the first value at theta = 0.3, its other
-# dispatch paths the second.
+# dispatch paths the second.  At theta = 1.5699, |W| = 2.48e6 and the
+# target is 2**-46 |W| instead of W_TOL, below one ulp of W; this value is
+# 3 ulp from the one W_TOL gave (0x1.2f3e0ec0dba71p+21, in 121 panel calls).
 _W_AT_MINUS_ONE = {
     0.3: ("0x1.cd5b75d3e194cp-9", "0x1.cd5b75d3e1949p-9"),
     0.6: ("0x1.2d69f75434bc0p-4",),
     0.9: ("0x1.431018a69102dp-1",),
     1.2: ("0x1.64a514517a01ap+2",),
-    1.5699: ("0x1.2f3e0ec0dba71p+21",),
+    1.5699: ("0x1.2f3e0ec0dba6ep+21",),
 }
 
 
 def test_W_eval_keeps_its_bits_at_the_closed_form_angles():
     for theta, values in _W_AT_MINUS_ONE.items():
         assert W_eval(theta, -1.0) in {complex(float.fromhex(v)) for v in values}, theta
+
+
+def test_W_eval_near_pi_over_2_is_fast_and_meets_F0_closed(monkeypatch):
+    W = W_eval(1.5699, -1.0)
+    assert abs(W.real - F0_closed(1.5699)) <= 1e-12 * F0_closed(1.5699)
+    best = math.inf
+    for _ in range(5):
+        start = time.perf_counter()
+        W_eval(1.5699, -1.0)
+        best = min(best, time.perf_counter() - start)
+    assert best < 1e-3
+    # W_TOL took 121 panel calls here
+    calls = []
+    panel = quadrature._panel
+
+    def counted(f, a, b):
+        calls.append((a, b))
+        return panel(f, a, b)
+
+    monkeypatch.setattr(quadrature, "_panel", counted)
+    assert W_eval(1.5699, -1.0) == W
+    assert len(calls) <= 5
 
 
 def _two_call_panel(f, a, b):

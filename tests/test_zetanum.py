@@ -440,33 +440,52 @@ def test_lemma_rhs_real_point_sign():
 
 
 def test_lemma_rhs_raises_when_quadrature_misses_tol(monkeypatch):
-    monkeypatch.setattr(quadrature, "MAX_PANELS", 2)
-    with pytest.raises(QuadratureError, match=r"2-panel cap .* above the requested tol 2.5e-07"):
+    # the rule for tol 1e-6 needs more than 8 nodes on every panel count
+    monkeypatch.setattr(quadrature, "STRIP_NODES", 8)
+    with pytest.raises(QuadratureError, match=r"tol 2.5e-07 needs \d+ > 8 nodes per panel"):
         lemma_rhs(1.5 + 10j, 0.25, 1e-6)
 
 
 @pytest.mark.parametrize("args, points", [
-    ((1.5 + 10j, 0.25, 1e-3), 66),
-    ((2.0 + 20j, 0.5, 1e-6), 242),
-    ((1.3 + 0j, 0.1, 1e-3), 154),
-    ((1.25 + 5j, 0.05, 1e-6), 330),
+    ((1.5 + 10j, 0.25, 1e-3), 25),
+    ((2.0 + 20j, 0.5, 1e-6), 56),
+    ((1.3 + 0j, 0.1, 1e-3), 31),
+    ((1.25 + 5j, 0.05, 1e-6), 82),
 ])
-def test_lemma_rhs_integrand_points(monkeypatch, args, points):
-    # the point counts of the integrand that took one point per call, at 22
-    # points per panel: the same panels, now at 21 distinct points per call
-    seen = []
-    quad = zetanum.adaptive_quad
+def test_lemma_rhs_makes_one_zeta_em_array_call(monkeypatch, args, points):
+    # one scalar call for the wing bound, then one call on all panels x nodes
+    seen, rules = [], []
+    em, legendre = zetanum.zeta_em, quadrature._legendre
 
-    def counted(f, a, b, tol):
-        def g(u):
-            seen.append(u.size)
-            return f(u)
-        return quad(g, a, b, tol=tol)
+    def counted(s):
+        seen.append(np.shape(s))
+        return em(s)
 
-    monkeypatch.setattr(zetanum, "adaptive_quad", counted)
+    def rule(n):
+        rules.append(n)
+        return legendre(n)
+
+    monkeypatch.setattr(zetanum, "zeta_em", counted)
+    monkeypatch.setattr(quadrature, "_legendre", rule)
     lemma_rhs(*args)
-    assert set(seen) == {21}
-    assert sum(seen) == points // 22 * 21
+    assert seen == [(), (points,)]
+    (n,) = rules
+    assert points % n == 0 and 1 <= points // n <= quadrature.STRIP_PANELS
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.floats(1.25, 3.0), st.floats(-20.0, 20.0), st.floats(0.05, 0.5),
+       st.sampled_from([1e-3, 1e-6]))
+@example(1.25, 20.0, 0.05, 1e-6)
+def test_lemma_rhs_holds_its_bound_against_mpmath(sigma, t, eta, tol):
+    value, bound = lemma_rhs(complex(sigma, t), eta, tol)
+    assert bound <= 0.75 * tol
+    # beyond |u| = 36 the integral is below 4 log zeta(1.25) e^-72, about 1e-31
+    with mp.workdps(30):
+        line, step = mp.mpc(sigma + eta, t), 2j * eta / mp.pi
+        exact = mp.quad(lambda u: mp.log(abs(mp.zeta(line + step * u))) / mp.cosh(u) ** 2,
+                        [-36, -12, -4, 0, 4, 12, 36], method="gauss-legendre") / (4 * eta)
+    assert abs(value - float(exact)) <= bound
 
 
 def _numpy_free(value):
@@ -491,11 +510,13 @@ def test_reports_hold_python_floats_and_bools():
 
 
 def test_lemma_rhs_constant_weight_mass():
-    # int cosh^-2 = 2, so a constant integrand c integrates to c/(2*eta)
-    from zetafree.quadrature import adaptive_quad
-
-    val, _ = adaptive_quad(lambda u: 1.0 / np.cosh(u) ** 2, -20.0, 20.0, tol=1e-12)
-    assert val == pytest.approx(2.0, rel=1e-10)
+    # int cosh^-2 = 2, so a constant integrand c integrates to c/(2*eta); the
+    # weight alone is at most cos^-2 on lemma_rhs's strip
+    strip = zetanum._STRIP
+    val, bound = quadrature.strip_gauss(lambda u: 1.0 / np.cosh(u) ** 2, -20.0, 20.0,
+                                        strip, 1.0 / math.cos(strip) ** 2, 1e-12)
+    assert bound <= 1e-12
+    assert abs(val - 2.0 * math.tanh(20.0)) <= bound + 2e-12  # rounding, as in test_quadrature
 
 
 # ---------------------------------------------------------------------------
@@ -1014,7 +1035,7 @@ def test_eta_1e_200_is_accepted(monkeypatch):
     assert 0.0 < value < math.inf and 0.0 < err < math.inf
     assert midpoint_bound_check(1.5, 1e-200, tol=1e-3, max_n=1000).lhs == value
     # the integral side refuses its far-too-small target before any quadrature
-    monkeypatch.setattr(zetanum, "adaptive_quad", None)
+    monkeypatch.setattr(zetanum, "strip_gauss", None)
     with pytest.raises(DomainError, match=r"eta = 1e-200 is too small at tol = 0\.001: "):
         lemma_rhs(1.5, 1e-200, 1e-3)
 
