@@ -2,28 +2,27 @@
 
 The starts are the points of a scrambled Halton sequence (Owen, "A
 randomized Halton algorithm in R", arXiv:1706.02808) in the box of log
-root offsets.  Each start runs Nelder-Mead (Nelder and Mead, Comput. J. 7,
-1965; reflection 1, expansion 2, contraction 0.5, shrink 0.5) over the root
-offsets in log coordinates, for at most MAX_ITER iterations.  Each point
-is scored from b0, b1 and the coefficient sums, read off the power-basis
-product without the full cosine expansion; a point scores a penalty exactly
-where solve_theta refuses its b0 and b1.  The simplex's best value is the
-score of its start; only the winning start is expanded, by
-evaluate_candidate, for the reported polynomial, theta and M.  Both
-algorithms are written here, the Halton points in numpy and the simplex on
-lists of floats, and the tests check them point for point against
-reference implementations.
-
-The starts are independent: when there are enough of them for two or more
-CPUs (see _workers), they run on a fork-started process pool.  Either way
-their results are merged in start order, so the result does not depend on
-the number of workers.
+root offsets.  Every start is scored once.  Nelder-Mead (Nelder and Mead,
+Comput. J. 7, 1965; reflection 1, expansion 2, contraction 0.5, shrink
+0.5) then runs over the root offsets in log coordinates only from the
+starts that multi-level single linkage keeps (Rinnooy Kan and Timmer,
+"Stochastic global optimization methods, Part II: Multi level methods",
+Math. Programming 39, 1987): those with no better-scoring start within the
+critical distance.  Each kept search is restarted from its own result with
+a fresh initial simplex while that strictly lowers the value (Kelley, SIAM
+J. Optim. 10, 1999), at most MAX_RESTARTS times, each run for at most
+MAX_ITER iterations.  Each point is scored from b0, b1 and the coefficient
+sums, read off the power-basis product without the full cosine expansion;
+a point scores a penalty exactly where solve_theta refuses its b0 and b1.
+The kept searches run inline, in start order; only the winning one is
+expanded, by evaluate_candidate, for the reported polynomial, theta and M.
+Both algorithms are written here, the Halton points in numpy and the
+simplex on lists of floats, and the tests check them point for point
+against reference implementations.
 """
 
 import math
 import numbers
-import os
-import sys
 from dataclasses import dataclass
 from functools import partial, reduce
 from operator import add
@@ -55,9 +54,10 @@ _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
 _RHO, _CHI, _PSI, _SIGMA = 1.0, 2.0, 0.5, 0.5
 # initial simplex: each coordinate in turn scaled by 1.05, or set to 0.00025 if 0
 _NONZERO_STEP, _ZERO_STEP = 0.05, 0.00025
-# the fewest starts per worker process: on 2 vCPUs, starting and ending a
-# pool of 2 workers costs 7-12 ms and one degree-5 start about 3 ms
-_STARTS_PER_WORKER = 16
+# sigma of the critical distance: a larger sigma keeps fewer starts
+_MLSL_SIGMA = 4.0
+# restarts of one kept search, each with its own MAX_ITER: at d = 11 one search takes 8,467 in all
+MAX_RESTARTS = 50
 
 
 @dataclass(frozen=True)
@@ -203,27 +203,50 @@ def _nelder_mead(f, x0: List[float], f0: float, xatol: float) -> Tuple[List[floa
         iterations += 1
 
 
-def _run_start(
-    x0: List[float], half: bool, tol: float
-) -> Optional[Tuple[List[float], float, bool]]:
-    """_nelder_mead's result from the start x0, or None if x0 scores _PENALTY."""
-    objective = partial(_objective, half=half)
-    f0 = objective(x0)
-    if f0 >= _PENALTY:
-        return None
-    return _nelder_mead(objective, x0, f0, tol)
+def _critical_distance(m: int, k: int) -> float:
+    """Multi-level single linkage's critical distance for k starts in the
+    m-dimensional box of log root offsets: pi**-0.5 * (Gamma(1 + m/2) * V *
+    _MLSL_SIGMA * log k / k)**(1/m), with V the box volume; 0 at k = 1."""
+    volume = (math.log(ROOT_BOX[1]) - math.log(ROOT_BOX[0])) ** m
+    ball = math.gamma(1 + m / 2) * volume * _MLSL_SIGMA * math.log(k) / k
+    return ball ** (1 / m) / math.sqrt(math.pi)
 
 
-def _workers(starts: int) -> int:
-    """How many processes run the starts; below 2 they run inline.
+def _kept_starts(points: List[List[float]], scores: List[float], r: float) -> List[int]:
+    """The feasible starts with no start of lower (score, index) within r, in start order.
 
-    At most one per CPU this process may run on, and one per
-    _STARTS_PER_WORKER starts.  Only Linux gets a pool: fork is not safe on
-    macOS, and spawn or forkserver would import numpy again in each worker.
+    Each start is compared with the better-ranked ones one row at a time, so
+    no k x k array is built.  The squared distance is summed coordinate by
+    coordinate in elementwise numpy operations, which round alike on every
+    CPU, so no comparison with r**2 depends on numpy's dispatch.
     """
-    if sys.platform != "linux":
-        return 1
-    return min(len(os.sched_getaffinity(0)), starts // _STARTS_PER_WORKER)
+    ranked = sorted((i for i, f in enumerate(scores) if f < _PENALTY), key=lambda i: (scores[i], i))
+    columns = np.array([points[i] for i in ranked]).T.copy()
+    r2 = r * r
+    kept = []
+    for t, i in enumerate(ranked):
+        d2 = np.zeros(t)
+        for col in columns:
+            d2 += (col[:t] - col[t]) ** 2
+        if not (d2 <= r2).any():
+            kept.append(i)
+    return sorted(kept)
+
+
+def _search(f, x0: List[float], f0: float, xatol: float) -> Tuple[List[float], float, bool]:
+    """_nelder_mead from x0, restarted from its own result while a restart
+    strictly lowers the value, at most MAX_RESTARTS times.
+
+    The flag is False if the result stopped at MAX_ITER or the restarts ran
+    out while still improving.
+    """
+    x, value, converged = _nelder_mead(f, x0, f0, xatol)
+    for _ in range(MAX_RESTARTS):
+        y, y_value, y_converged = _nelder_mead(f, x, value, xatol)
+        if not y_value < value:
+            return x, value, converged
+        x, value, converged = y, y_value, y_converged
+    return x, value, False
 
 
 def optimize(
@@ -236,9 +259,12 @@ def optimize(
     """Maximize M over product forms of the given degree.
 
     Deterministic for a fixed (degree, half_angle_factor, starts, seed,
-    tol); increasing starts only appends to the same start sequence.
-    A start that stops at the MAX_ITER cap instead of reaching tol still
-    counts, and is reported in notes.
+    tol); increasing starts only appends to the same start sequence, though
+    the critical distance, and so the kept starts, depend on starts.  The
+    trace has one entry per kept start.  A search that stops at the
+    MAX_ITER or MAX_RESTARTS cap instead of reaching tol still counts, and
+    is reported in notes, as are the winning roots on the wall
+    2 * ROOT_BOX[1] of the objective's box.
     """
     e = 1 if half_angle_factor else 0
     if degree < 2 or degree > MAX_DEGREE:
@@ -248,8 +274,8 @@ def optimize(
             f"degree {degree} is inconsistent with half_angle_factor={half_angle_factor}"
         )
     m = (degree - e) // 2
-    if starts < 1:
-        raise ValueError("starts must be >= 1")
+    if not (isinstance(starts, numbers.Integral) and not isinstance(starts, bool) and starts >= 1):
+        raise ValueError(f"starts must be a positive integer, got {starts!r}")
     if not (isinstance(seed, numbers.Integral) and seed >= 0):
         raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
     if not (math.isfinite(tol) and tol > 0):
@@ -257,24 +283,15 @@ def optimize(
 
     lo, hi = math.log(ROOT_BOX[0]), math.log(ROOT_BOX[1])
     points = [[lo + (hi - lo) * v for v in u] for u in _scrambled_halton(m, starts, seed).tolist()]
-    run = partial(_run_start, half=half_angle_factor, tol=tol)
-    workers = _workers(starts)
-    if workers >= 2:
-        import multiprocessing  # only here: importing it costs every cold CLI run
-
-        with multiprocessing.get_context("fork").Pool(workers) as pool:
-            results = pool.map(run, points)
-    else:
-        results = map(run, points)
+    objective = partial(_objective, half=half_angle_factor)
+    scores = [objective(x) for x in points]
 
     best_value = _PENALTY
     best_roots: Optional[Tuple[float, ...]] = None
     trace: List[Tuple[int, float]] = []
     capped = 0
-    for idx, result in enumerate(results):
-        if result is None:
-            continue
-        x, value, converged = result
+    for idx in _kept_starts(points, scores, _critical_distance(m, starts)):
+        x, value, converged = _search(objective, points[idx], scores[idx], tol)
         capped += not converged
         roots = tuple(sorted(math.exp(v) for v in x))
         if value < best_value or (value == best_value and roots < best_roots):
@@ -287,6 +304,13 @@ def optimize(
     best_form = ProductForm(1.0, half_angle_factor, best_roots)
     best = evaluate_candidate(best_form)
     require_nonneg(best.poly)
+    notes = []
+    if capped:
+        notes.append(f"{capped} of {len(trace)} searches stopped at the iteration or restart cap")
+    wall = 2.0 * ROOT_BOX[1]
+    on_wall = sum(abs(a - wall) <= 1e-9 * wall for a in best_roots)
+    if on_wall:
+        notes.append(f"{on_wall} of {len(best_roots)} roots at the search wall {wall}")
 
     return OptimizationResult(
         best_form=best_form,
@@ -295,5 +319,5 @@ def optimize(
         M=best.M,
         starts_used=starts,
         trace=tuple(trace),
-        notes=(f"{capped} of {starts} starts stopped at the iteration cap",) if capped else (),
+        notes=tuple(notes),
     )

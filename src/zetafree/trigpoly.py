@@ -83,16 +83,6 @@ class ProductForm:
     def degree(self) -> int:
         return 2 * len(self.roots) + (1 if self.half_angle_factor else 0)
 
-    def eval(self, theta):
-        """Direct evaluation of the factored product."""
-        c = np.cos(theta)
-        out = self.scale * np.ones_like(c)
-        if self.half_angle_factor:
-            out = out * (1.0 + c)
-        for a in self.roots:
-            out = out * (a + c) ** 2
-        return out
-
     def to_json(self) -> dict:
         return {
             "scale": self.scale,

@@ -1,10 +1,10 @@
 import math
-import multiprocessing
-import os
 import re
 import subprocess
 import sys
-from functools import partial, wraps
+import tracemalloc
+from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,14 +18,16 @@ from zetafree.asymptotics import compute_M
 from zetafree.errors import RatioOutOfRangeError
 from zetafree.optimizer import (
     _PENALTY,
-    _STARTS_PER_WORKER,
     MAX_ITER,
+    MAX_RESTARTS,
     ROOT_BOX,
     CandidateEval,
+    _critical_distance,
+    _kept_starts,
     _nelder_mead,
     _objective,
     _scrambled_halton,
-    _workers,
+    _search,
     evaluate_candidate,
     optimize,
 )
@@ -362,83 +364,122 @@ def test_notes_count_starts_at_iteration_cap(monkeypatch):
     monkeypatch.setattr(zetafree.optimizer, "MAX_ITER", 3)
     res = optimize(4, False, starts=8, seed=0)
     assert len(res.notes) == 1
-    match = re.fullmatch(r"(\d+) of 8 starts stopped at the iteration cap", res.notes[0])
-    assert match and int(match.group(1)) >= len(res.trace) > 0
+    match = re.fullmatch(r"(\d+) of (\d+) searches stopped at the iteration or restart cap",
+                         res.notes[0])
+    assert match and int(match.group(1)) == int(match.group(2)) == len(res.trace) > 0
+
+
+def test_search_stops_at_the_restart_cap(monkeypatch):
+    # a search that lowers its value on every restart stops at MAX_RESTARTS
+    runs = []
+
+    def always_lower(f, x0, f0, xatol):
+        runs.append(f0)
+        return list(x0), f0 - 1.0, True
+
+    monkeypatch.setattr(zetafree.optimizer, "_nelder_mead", always_lower)
+    x, value, converged = _search(None, [0.5], 0.0, 1e-10)
+    assert (x, value, converged) == ([0.5], -(MAX_RESTARTS + 1.0), False)
+    assert len(runs) == MAX_RESTARTS + 1
 
 
 # ---------------------------------------------------------------------------
-# the starts on a process pool
+# the kept starts, their restarts, and no process pool
 # ---------------------------------------------------------------------------
 
-def _force_cpus(monkeypatch, cpus):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+def _full_search(monkeypatch, *args, **kwargs):
+    # at critical distance 0 no start sees a better one, so every feasible start is searched
+    with monkeypatch.context() as patch:
+        patch.setattr(zetafree.optimizer, "_critical_distance", lambda m, k: 0.0)
+        return optimize(*args, **kwargs)
 
 
-def _optimize_on(monkeypatch, cpus, *args, **kwargs):
-    _force_cpus(monkeypatch, cpus)
-    return optimize(*args, **kwargs)
-
-
-@pytest.mark.parametrize("cpus,starts,workers", [
-    (1, 10**6, 1),
-    (2, 2 * _STARTS_PER_WORKER - 1, 1),
-    (2, 2 * _STARTS_PER_WORKER, 2),
-    (2, 10**6, 2),
-    (8, 3 * _STARTS_PER_WORKER, 3),
-])
-def test_workers_never_exceed_the_cpus_or_the_starts(monkeypatch, cpus, starts, workers):
-    _force_cpus(monkeypatch, cpus)
-    assert _workers(starts) == workers
-
-
-def test_no_pool_off_linux(monkeypatch):
-    _force_cpus(monkeypatch, 8)
-    monkeypatch.setattr(sys, "platform", "darwin")
-    assert _workers(10**6) == 1
-
-
-@pytest.mark.skipif(sys.platform != "linux", reason="the pool runs on Linux only")
 @pytest.mark.parametrize("degree,half,starts,seed,max_iter", [
-    (5, True, 64, 0, MAX_ITER),
-    (7, True, 128, 0, MAX_ITER),
+    *[(d, d % 2 == 1, 64, s, MAX_ITER) for d in (3, 4, 5) for s in (0, 1, 2)],
     # d = 4 rejects some start points at every seed: 10 of these 64
     (4, False, 64, 3, MAX_ITER),
-    # every start stops at the iteration cap
+    (7, True, 128, 0, MAX_ITER),
+    # every search stops at the iteration cap
     (4, False, 64, 0, 3),
 ])
-def test_pooled_result_equals_inline_result(monkeypatch, degree, half, starts, seed, max_iter):
+def test_kept_starts_reach_the_full_search(monkeypatch, degree, half, starts, seed, max_iter):
     monkeypatch.setattr(zetafree.optimizer, "MAX_ITER", max_iter)
-    inline = _optimize_on(monkeypatch, 1, degree, half, starts=starts, seed=seed)
-    pooled = _optimize_on(monkeypatch, 2, degree, half, starts=starts, seed=seed)
-    assert pooled == inline
-    assert (len(pooled.trace) < starts) == (degree == 4)
-    assert bool(pooled.notes) == (max_iter == 3)
-
-
-@pytest.mark.skipif(sys.platform != "linux", reason="the pool runs on Linux only")
-def test_pooled_starts_run_in_worker_processes(monkeypatch, tmp_path):
-    log = tmp_path / "pids"
-    run_start = zetafree.optimizer._run_start
-
-    @wraps(run_start)  # so the pool pickles it by the module's own name
-    def logged(*args, **kwargs):
-        with open(log, "a") as fh:
-            fh.write(f"{os.getpid()}\n")
-        return run_start(*args, **kwargs)
-
-    monkeypatch.setattr(zetafree.optimizer, "_run_start", logged)
-    _optimize_on(monkeypatch, 2, 5, True, starts=64, seed=0)
-    pids = log.read_text().split()
-    assert len(pids) == 64
-    assert str(os.getpid()) not in pids
-    assert len(set(pids)) <= 2
-    assert multiprocessing.active_children() == []
-
-
-@pytest.mark.parametrize("cpus", [1, 2])
-def test_a_start_that_raises_reaches_the_caller(monkeypatch, cpus):
+    kept = optimize(degree, half, starts=starts, seed=seed)
+    full = _full_search(monkeypatch, degree, half, starts=starts, seed=seed)
     lo, hi = math.log(ROOT_BOX[0]), math.log(ROOT_BOX[1])
-    bad = (lo + (hi - lo) * _scrambled_halton(2, 64, 0)[40]).tolist()
+    points = (lo + (hi - lo) * _scrambled_halton(degree // 2, starts, seed)).tolist()
+    assert len(kept.trace) < len(full.trace) == sum(_objective(x, half) < _PENALTY for x in points)
+    for res in (kept, full):
+        assert any(note.endswith(" cap") for note in res.notes) == (max_iter == 3)
+    if max_iter == MAX_ITER:
+        assert kept.M >= full.M * (1 - 1e-12)
+
+
+def test_kept_starts_have_no_better_start_within_the_critical_distance():
+    lo, hi = math.log(ROOT_BOX[0]), math.log(ROOT_BOX[1])
+    points = (lo + (hi - lo) * _scrambled_halton(2, 64, 0)).tolist()
+    scores = [_objective(x, True) for x in points]
+    r = _critical_distance(2, 64)
+    kept = _kept_starts(points, scores, r)
+    def d2(x, y):  # summed in _kept_starts' order, so the rounding is the same
+        total = 0.0
+        for a, b in zip(x, y):
+            total += (b - a) * (b - a)
+        return total
+
+    for i, x in enumerate(points):
+        better = [j for j in range(64) if (scores[j], j) < (scores[i], i)]
+        isolated = all(d2(x, points[j]) > r * r for j in better)
+        assert (i in kept) == (scores[i] < _PENALTY and isolated)
+    assert kept == sorted(kept) and 0 < len(kept) < 64
+
+
+def test_critical_distance_is_zero_at_one_start():
+    assert _critical_distance(3, 1) == 0.0
+    assert _critical_distance(2, 64) > _critical_distance(2, 128) > 0
+
+
+def test_degree_9_reaches_the_lowest_full_search_optimum():
+    # 0.0542828021 is the lowest M over seeds 0-11 of a search from every start without restarts
+    first, second = (optimize(9, True, starts=64, seed=seed).M for seed in (0, 1))
+    assert min(first, second) >= 0.0542828021
+    assert first == pytest.approx(second, rel=1e-9, abs=0.0)
+
+
+def test_many_starts_build_no_square_array():
+    tracemalloc.start()
+    try:
+        res = optimize(5, True, starts=20_000, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 50 * 2**20
+    assert 0 < len(res.trace) < 20_000
+
+
+def test_notes_count_the_roots_at_the_search_wall():
+    assert optimize(5, True, starts=64, seed=0).notes == ()
+    res = optimize(7, True, starts=128, seed=0)
+    assert res.notes == ("1 of 3 roots at the search wall 6.0",)
+    assert max(res.best_form.roots) == pytest.approx(2 * ROOT_BOX[1], rel=1e-9)
+
+
+@pytest.mark.parametrize("starts", [0, -1, 2.5, 3.0, True, "8"])
+def test_starts_must_be_a_positive_integer(monkeypatch, starts):
+    def drawn(*args):
+        raise AssertionError("a start point was drawn")
+
+    monkeypatch.setattr(zetafree.optimizer, "_scrambled_halton", drawn)
+    message = f"starts must be a positive integer, got {starts!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        optimize(3, True, starts=starts)
+
+
+def test_a_start_that_raises_reaches_the_caller(monkeypatch):
+    # the best-scoring start has no better start at any distance, so it is searched
+    lo, hi = math.log(ROOT_BOX[0]), math.log(ROOT_BOX[1])
+    points = (lo + (hi - lo) * _scrambled_halton(2, 64, 0)).tolist()
+    bad = min(points, key=lambda x: _objective(x, True))
     assert _objective(bad, True) < _PENALTY
     nelder_mead = zetafree.optimizer._nelder_mead
 
@@ -449,14 +490,19 @@ def test_a_start_that_raises_reaches_the_caller(monkeypatch, cpus):
 
     monkeypatch.setattr(zetafree.optimizer, "_nelder_mead", failing)
     with pytest.raises(ArithmeticError) as info:
-        _optimize_on(monkeypatch, cpus, 5, True, starts=64, seed=0)
+        optimize(5, True, starts=64, seed=0)
     assert type(info.value) is ArithmeticError
     assert str(info.value) == f"no descent from {bad!r}"
-    assert multiprocessing.active_children() == []
 
 
 def test_inline_run_does_not_import_multiprocessing():
-    code = ("import sys, zetafree.cli; zetafree.optimize(3, True, starts=8); "
+    code = ("import sys, zetafree.cli; zetafree.optimize(3, True, starts=64); "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'multiprocessing'))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == "[]"
+
+
+def test_no_module_imports_multiprocessing():
+    package = Path(zetafree.optimizer.__file__).parent
+    for path in package.glob("*.py"):
+        assert not re.search(r"^\s*(import|from)\s+multiprocessing", path.read_text(), re.M), path
