@@ -475,11 +475,15 @@ def test_starts_must_be_a_positive_integer(monkeypatch, starts):
         optimize(3, True, starts=starts)
 
 
-def test_a_start_that_raises_reaches_the_caller(monkeypatch):
-    # the best-scoring start has no better start at any distance, so it is searched
+@pytest.mark.parametrize("nth", [1, 2])
+def test_a_start_that_raises_reaches_the_caller(monkeypatch, nth):
+    # the nth kept start, in search order, raises; the searches before it finish
     lo, hi = math.log(ROOT_BOX[0]), math.log(ROOT_BOX[1])
     points = (lo + (hi - lo) * _scrambled_halton(2, 64, 0)).tolist()
-    bad = min(points, key=lambda x: _objective(x, True))
+    scores = [_objective(x, True) for x in points]
+    kept = _kept_starts(points, scores, _critical_distance(2, 64))
+    assert len(kept) >= nth
+    bad = points[kept[nth - 1]]
     assert _objective(bad, True) < _PENALTY
     nelder_mead = zetafree.optimizer._nelder_mead
 

@@ -863,6 +863,7 @@ def _dominated_poly(draw):
 @example(CosinePolynomial((1.0, 0.0)), 2.0, 14.13, 10**6)
 def test_dirichlet_route_matches_per_j_cosines(p, x, y, N):
     report = applied_trig_sum(p, x, y, tol=1e-15, max_n=N)
+    N = _cut(_trig_shifts(p.coeffs, x, y), 1e-15, N, p.coeffs)[0]  # below the cap where tol is met sooner
     assert report.params["N"] == N
     oracle, sum_w = _dirichlet_per_j(p.coeffs, x, y, N)
     oracle += _trig_main(p, x, y, 1e-15, N)
@@ -907,7 +908,9 @@ def test_sieve_route_is_blockwise_eval_poly(N):
 def _applied_trig_two_cosines(p, x, y, N):
     """(lhs, rhs) by applied_trig_sum's block loop with eval_poly taking its
     own cosine, as applied_trig_sum once computed them, plus the main term
-    of its cut at tol 1e-15."""
+    of its cut at tol 1e-15.  Both sum to the cut's N, which is below the
+    cap N where tol is met sooner."""
+    N = _cut(_trig_shifts(p.coeffs, x, y), 1e-15, N, p.coeffs)[0]
     _, lam, log_n = _CACHE.upto(N)
     b = p.coeffs
     sieve_terms = np.empty_like(lam)
