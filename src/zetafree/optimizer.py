@@ -1,24 +1,25 @@
 """Multistart derivative-free search for the product form maximizing M.
 
-The starts are the points of a scrambled Halton sequence (Owen, "A
-randomized Halton algorithm in R", arXiv:1706.02808) in the box of log
-root offsets.  Every start is scored once.  Nelder-Mead (Nelder and Mead,
-Comput. J. 7, 1965; reflection 1, expansion 2, contraction 0.5, shrink
-0.5) then runs over the root offsets in log coordinates only from the
-starts that multi-level single linkage keeps (Rinnooy Kan and Timmer,
-"Stochastic global optimization methods, Part II: Multi level methods",
-Math. Programming 39, 1987): those with no better-scoring start within the
+Each squared factor is (cos phi + sin phi * cos t)^2, a = cot phi, with phi
+clipped to [0, pi/2]: phi = 0 is the constant factor 1, so the lower
+degrees are a face of the box [0, pi/2]^m.  The starts are the points of a
+scrambled Halton sequence (Owen, "A randomized Halton algorithm in R",
+arXiv:1706.02808) in the box.  Every start is scored once.  Nelder-Mead
+(Nelder and Mead, Comput. J. 7, 1965; reflection 1, expansion 2,
+contraction 0.5, shrink 0.5) then runs over the angles only from the starts
+that multi-level single linkage keeps (Rinnooy Kan and Timmer, "Stochastic
+global optimization methods, Part II: Multi level methods", Math.
+Programming 39, 1987): those with no better-scoring start within the
 critical distance.  Each kept search is restarted from its own result with
 a fresh initial simplex while that strictly lowers the value (Kelley, SIAM
 J. Optim. 10, 1999), at most MAX_RESTARTS times, each run for at most
 MAX_ITER iterations.  Each point is scored from b0, b1 and the coefficient
 sums, read off the power-basis product without the full cosine expansion;
 a point scores a penalty exactly where solve_theta refuses its b0 and b1.
-The kept searches run inline, in start order; only the winning one is
-expanded, by evaluate_candidate, for the reported polynomial, theta and M.
-Both algorithms are written here, the Halton points in numpy and the
-simplex on lists of floats, and the tests check them point for point
-against reference implementations.
+The kept searches run inline, in start order; only the winner is expanded,
+by evaluate_candidate, for the reported polynomial, theta and M.  Both
+algorithms are written here, the Halton points in numpy and the simplex on
+lists of floats, and the tests check them against reference implementations.
 """
 
 import math
@@ -43,7 +44,6 @@ from .trigpoly import (
     require_nonneg,
 )
 
-ROOT_BOX = (0.01, 3.0)
 MAX_ITER = 4000
 _PENALTY = 1e9
 _FATOL = 1e-15
@@ -90,20 +90,21 @@ def evaluate_candidate(form: ProductForm) -> CandidateEval:
     return CandidateEval(poly=poly, theta=theta, M=M_from_theta(b, theta))
 
 
-def _objective(x: Sequence[float], half: bool) -> float:
-    """-M of the unit-scale product form with log root offsets x, or _PENALTY.
+def _angles(x: Sequence[float]) -> List[float]:
+    """The factor angles of the point x: each coordinate clipped to [0, pi/2]."""
+    return [min(max(v, 0.0), 0.5 * math.pi) for v in x]
 
-    Offsets outside twice the root box, and forms whose b0 and b1
-    solve_theta refuses, score _PENALTY.  M needs only b0, b1 and
-    the coefficient sums, which _cosine_sums reads off the power-basis
-    product, so no cosine expansion and no dataclass is built.  The box
-    check keeps every offset finite and positive, so every power-basis
-    coefficient is positive and so is sum_{j>=1} b_j.
+
+def _objective(x: Sequence[float], half: bool) -> float:
+    """-M of the product of the factors (cos phi + sin phi * c)^2 over the
+    angles phi of x, or _PENALTY where solve_theta refuses its b0 and b1.
+
+    M needs only b0, b1 and the coefficient sums, which _cosine_sums reads
+    off the power-basis product, so no cosine expansion is built.  Every
+    power-basis coefficient lies in [0, 2**(m + 1)], so none needs a scale.
     """
-    roots = [math.exp(v) for v in x]
-    if any(not (ROOT_BOX[0] * 0.5 <= a <= ROOT_BOX[1] * 2.0) for a in roots):
-        return _PENALTY
-    b0, b1, s_tail, s_all = _cosine_sums(_power_product(half, roots))
+    factors = [(math.cos(phi), math.sin(phi)) for phi in _angles(x)]
+    b0, b1, s_tail, s_all = _cosine_sums(_power_product(half, factors))
     try:
         theta = solve_theta(b0, b1)
     except (ValueError, RatioOutOfRangeError):
@@ -205,10 +206,9 @@ def _nelder_mead(f, x0: List[float], f0: float, xatol: float) -> Tuple[List[floa
 
 def _critical_distance(m: int, k: int) -> float:
     """Multi-level single linkage's critical distance for k starts in the
-    m-dimensional box of log root offsets: pi**-0.5 * (Gamma(1 + m/2) * V *
-    _MLSL_SIGMA * log k / k)**(1/m), with V the box volume; 0 at k = 1."""
-    volume = (math.log(ROOT_BOX[1]) - math.log(ROOT_BOX[0])) ** m
-    ball = math.gamma(1 + m / 2) * volume * _MLSL_SIGMA * math.log(k) / k
+    box [0, pi/2]^m: pi**-0.5 * (Gamma(1 + m/2) * V * _MLSL_SIGMA * log k /
+    k)**(1/m), with V = (pi/2)**m the box volume; 0 at k = 1."""
+    ball = math.gamma(1 + m / 2) * (0.5 * math.pi) ** m * _MLSL_SIGMA * math.log(k) / k
     return ball ** (1 / m) / math.sqrt(math.pi)
 
 
@@ -256,61 +256,60 @@ def optimize(
     seed: int = 0,
     tol: float = 1e-10,
 ) -> OptimizationResult:
-    """Maximize M over product forms of the given degree.
+    """Maximize M over product forms of at most the given degree.
 
     Deterministic for a fixed (degree, half_angle_factor, starts, seed,
     tol); increasing starts only appends to the same start sequence, though
     the critical distance, and so the kept starts, depend on starts.  The
-    trace has one entry per kept start.  A search that stops at the
-    MAX_ITER or MAX_RESTARTS cap instead of reaching tol still counts, and
-    is reported in notes, as are the winning roots on the wall
-    2 * ROOT_BOX[1] of the objective's box.
+    trace has one entry per kept start.  The winner's factors at phi = 0
+    are dropped and counted in notes, so the reported degree may be lower,
+    of the same parity; the others are reported as the roots cot phi.  A
+    search that stops at the MAX_ITER or MAX_RESTARTS cap instead of
+    reaching tol still counts, and is counted in notes.
     """
     e = 1 if half_angle_factor else 0
-    if degree < 2 or degree > MAX_DEGREE:
-        raise ValueError(f"degree must be in 2..{MAX_DEGREE}")
+    if not (isinstance(degree, numbers.Integral) and not isinstance(degree, bool)
+            and 2 <= degree <= MAX_DEGREE):
+        raise ValueError(f"degree must be an integer in 2..{MAX_DEGREE}, got {degree!r}")
     if (degree - e) % 2 != 0:
-        raise ValueError(
-            f"degree {degree} is inconsistent with half_angle_factor={half_angle_factor}"
-        )
+        raise ValueError(f"degree {degree} is inconsistent with "
+                         f"half_angle_factor={half_angle_factor}")
     m = (degree - e) // 2
     if not (isinstance(starts, numbers.Integral) and not isinstance(starts, bool) and starts >= 1):
         raise ValueError(f"starts must be a positive integer, got {starts!r}")
-    if not (isinstance(seed, numbers.Integral) and seed >= 0):
+    if not (isinstance(seed, numbers.Integral) and not isinstance(seed, bool) and seed >= 0):
         raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
-    if not (math.isfinite(tol) and tol > 0):
+    if not (isinstance(tol, numbers.Real) and not isinstance(tol, bool) and 0 < tol < math.inf):
         raise ValueError(f"tol must be finite and > 0, got {tol!r}")
 
-    lo, hi = math.log(ROOT_BOX[0]), math.log(ROOT_BOX[1])
-    points = [[lo + (hi - lo) * v for v in u] for u in _scrambled_halton(m, starts, seed).tolist()]
+    points = [[0.5 * math.pi * v for v in u] for u in _scrambled_halton(m, starts, seed).tolist()]
     objective = partial(_objective, half=half_angle_factor)
     scores = [objective(x) for x in points]
 
     best_value = _PENALTY
-    best_roots: Optional[Tuple[float, ...]] = None
+    best_angles: Optional[Tuple[float, ...]] = None
     trace: List[Tuple[int, float]] = []
     capped = 0
     for idx in _kept_starts(points, scores, _critical_distance(m, starts)):
         x, value, converged = _search(objective, points[idx], scores[idx], tol)
         capped += not converged
-        roots = tuple(sorted(math.exp(v) for v in x))
-        if value < best_value or (value == best_value and roots < best_roots):
-            best_value, best_roots = float(value), roots
+        angles = tuple(sorted(_angles(x)))
+        if value < best_value or (value == best_value and angles < best_angles):
+            best_value, best_angles = float(value), angles
         trace.append((idx, -best_value))
 
-    if best_roots is None:
+    if best_angles is None:
         raise NoFeasiblePointError("all starts were rejected")
 
-    best_form = ProductForm(1.0, half_angle_factor, best_roots)
+    roots = sorted(math.cos(phi) / math.sin(phi) for phi in best_angles if phi != 0.0)
+    best_form = ProductForm(1.0, half_angle_factor, tuple(roots))
     best = evaluate_candidate(best_form)
     require_nonneg(best.poly)
     notes = []
     if capped:
         notes.append(f"{capped} of {len(trace)} searches stopped at the iteration or restart cap")
-    wall = 2.0 * ROOT_BOX[1]
-    on_wall = sum(abs(a - wall) <= 1e-9 * wall for a in best_roots)
-    if on_wall:
-        notes.append(f"{on_wall} of {len(best_roots)} roots at the search wall {wall}")
+    if len(roots) < m:
+        notes.append(f"{m - len(roots)} of {m} factors are constant (phi = 0)")
 
     return OptimizationResult(
         best_form=best_form,

@@ -215,15 +215,15 @@ _MOMENTS = tuple(
 _TAIL_WEIGHTS = tuple(1.0 - m for m in _MOMENTS)
 
 
-def _power_product(half: bool, roots: Sequence[float], scale: float = 1.0) -> list:
-    """Power-basis coefficients in c = cos(theta) of
-    scale * (1 + c)^e * prod (a_i + c)^2, e = 1 if half, lowest first."""
+def _power_product(half: bool, factors: Sequence[Tuple[float, float]], scale: float = 1.0) -> list:
+    """Power-basis coefficients, lowest first, in c = cos(theta) of scale *
+    (1 + c)^e * prod (alpha + beta*c)^2 over factors (alpha, beta); e = 1 if half."""
     pc = [scale, scale] if half else [scale]
-    for a in roots:
-        # multiply by (a + c)^2 = a^2 + 2a*c + c^2
-        a2, two_a = a * a, 2.0 * a
+    for alpha, beta in factors:
+        # multiply by (alpha + beta*c)^2 = alpha^2 + 2*alpha*beta*c + beta^2*c^2
+        a2, two_ab, b2 = alpha * alpha, 2.0 * alpha * beta, beta * beta
         pc = [0.0, 0.0] + pc + [0.0, 0.0]
-        pc = [a2 * pc[k + 2] + two_a * pc[k + 1] + pc[k] for k in range(len(pc) - 2)]
+        pc = [a2 * pc[k + 2] + two_ab * pc[k + 1] + b2 * pc[k] for k in range(len(pc) - 2)]
     return pc
 
 
@@ -253,7 +253,8 @@ def expand_product(form: ProductForm) -> CosinePolynomial:
         raise DegreeOverflowError(
             f"degree {form.degree} exceeds the configured maximum {MAX_DEGREE}"
         )
-    b = power_to_cosine(_power_product(form.half_angle_factor, form.roots, float(form.scale)))
+    factors = [(a, 1.0) for a in form.roots]
+    b = power_to_cosine(_power_product(form.half_angle_factor, factors, float(form.scale)))
     if len(b) < 2:  # constant form is not a valid CosinePolynomial
         b = b + (0.0,)
     return CosinePolynomial(b)

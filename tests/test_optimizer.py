@@ -20,7 +20,6 @@ from zetafree.optimizer import (
     _PENALTY,
     MAX_ITER,
     MAX_RESTARTS,
-    ROOT_BOX,
     CandidateEval,
     _critical_distance,
     _kept_starts,
@@ -38,6 +37,7 @@ from zetafree.trigpoly import (
     _cosine_sums,
     _power_product,
     expand_product,
+    power_to_cosine,
     verify_nonneg,
 )
 
@@ -80,45 +80,54 @@ def test_evaluate_candidate_solves_theta_once(monkeypatch):
 # the objective reads b0, b1 and the sums off the power basis
 # ---------------------------------------------------------------------------
 
-# log root offsets inside the objective's box (twice ROOT_BOX each way)
-_LOG_OFFSET = st.floats(math.log(ROOT_BOX[0] * 0.5) + 1e-9, math.log(ROOT_BOX[1] * 2.0) - 1e-9)
+# factor angles: phi = 0 (the constant factor), or cot(phi) = a in (0, 1000]
+_ANGLE = st.one_of(st.just(0.0), st.floats(1e-3, math.pi / 2))
 
 
 @st.composite
 def _forms(draw):
     half = draw(st.booleans())
-    x = draw(st.lists(_LOG_OFFSET, min_size=1, max_size=(32 - half) // 2))
+    x = draw(st.lists(_ANGLE, min_size=1, max_size=(32 - half) // 2))
     return half, np.array(x)
+
+
+def _angles_of(roots):
+    """The factor angles phi = atan(1/a) of the roots a."""
+    return np.arctan2(1.0, roots)
+
+
+def _reported(half, x):
+    """The form optimize reports for the angles x: the roots cot(phi) of the nonzero angles."""
+    return ProductForm(1.0, half, tuple(math.cos(v) / math.sin(v) for v in x if v != 0.0))
 
 
 @settings(deadline=None)
 @given(_forms())
-@example((True, np.log([0.8652559, 0.1974476])))
-@example((False, np.full(16, math.log(6.0) - 1e-9)))
+@example((True, _angles_of([0.8652559, 0.1974476])))
+@example((False, np.full(16, math.atan2(1.0, 6.0))))
 def test_objective_sums_match_expansion(form):
     half, x = form
-    roots = np.exp(x).tolist()
-    product = ProductForm(1.0, half, tuple(roots))
-    b = expand_product(product).coeffs
-    sums = _cosine_sums(_power_product(half, roots))
+    pc = _power_product(half, [(math.cos(v), math.sin(v)) for v in x])
+    b = power_to_cosine(pc) + (0.0,)  # b_1 = 0 if every factor is constant
+    sums = _cosine_sums(pc)
     expected = (b[0], b[1], math.fsum(b[1:]), math.fsum(b))
     for got, want in zip(sums, expected):
         assert got == pytest.approx(want, rel=2e-15, abs=0.0)
     try:
-        res = evaluate_candidate(product)
-    except RatioOutOfRangeError:
+        res = evaluate_candidate(_reported(half, x))
+    except (ValueError, RatioOutOfRangeError):
         assume(False)
     assert -_objective(x, half) == pytest.approx(res.M, rel=1e-12, abs=0.0)
 
 
 @settings(deadline=None)
 @given(_forms())
-@example((False, np.log([0.01])))
-@example((False, np.log([3.0])))
-@example((True, np.log([0.01, 0.01, 0.01])))
+@example((False, _angles_of([0.01])))
+@example((False, _angles_of([3.0])))
+@example((True, _angles_of([0.01, 0.01, 0.01])))
 def test_objective_penalty_exactly_when_rejected(form):
     half, x = form
-    product = ProductForm(1.0, half, tuple(np.exp(x).tolist()))
+    product = _reported(half, x)
     b = expand_product(product).coeffs
     ratio = b[1] / b[0]
     # within rounding of a window edge the two routes may disagree
@@ -141,7 +150,7 @@ def test_feasible_objective_skips_expansion_and_solves_theta_once(monkeypatch):
             return _original(*args)
 
         monkeypatch.setattr(zetafree.optimizer, name, counted)
-    value = _objective(np.log([0.8652559, 0.1974476]), True)
+    value = _objective(_angles_of([0.8652559, 0.1974476]), True)
     assert calls == {"expand_product": 0, "evaluate_candidate": 0, "solve_theta": 1}
     assert -value == pytest.approx(0.055127, abs=1e-5)
 
@@ -157,12 +166,11 @@ def test_each_start_point_is_evaluated_once(monkeypatch, degree, half):
 
     monkeypatch.setattr(zetafree.optimizer, "_objective", recorded)
     optimize(degree, half, starts=8, seed=0)
-    lo, hi = math.log(ROOT_BOX[0]), math.log(ROOT_BOX[1])
-    for x0 in lo + (hi - lo) * _scrambled_halton(degree // 2, 8, 0):
+    for x0 in math.pi / 2 * _scrambled_halton(degree // 2, 8, 0):
         assert sum(np.array_equal(x, x0) for x in seen) == 1
 
 
-@pytest.mark.parametrize("seed", [-1, 1.5, "0"])
+@pytest.mark.parametrize("seed", [-1, 1.5, "0", True])
 def test_seed_must_be_a_nonnegative_integer(monkeypatch, seed):
     def drawn(*args):
         raise AssertionError("a start point was drawn")
@@ -233,9 +241,11 @@ def test_optimize_expands_only_the_winner(monkeypatch):
 @pytest.mark.parametrize("degree", [9, 11, 13, 14])
 def test_optimize_succeeds_at_high_degree(degree):
     # expanded optima of these degrees dip below zero by rounding alone,
-    # about 1e-16 * sum |b_j|, which an absolute tolerance rejects
+    # about 1e-16 * sum |b_j|, which an absolute tolerance rejects; the
+    # constant factors are dropped, so the degree may be lower, of the same parity
     res = optimize(degree, degree % 2 == 1, starts=8, seed=0)
-    assert res.best_poly.degree == degree
+    assert res.best_poly.degree == res.best_form.degree <= degree
+    assert res.best_form.degree % 2 == degree % 2
     assert isinstance(verify_nonneg(res.best_poly), Certificate)
     assert res.M == pytest.approx(compute_M(res.best_poly), rel=1e-12)
 
@@ -285,9 +295,8 @@ def test_halton_has_no_base_beyond_the_degree_cap():
 @pytest.mark.parametrize("degree", range(3, 8))
 def test_nelder_mead_equals_scipy(degree):
     half = degree % 2 == 1
-    lo, hi = math.log(ROOT_BOX[0]), math.log(ROOT_BOX[1])
     objective = partial(_objective, half=half)
-    starts = lo + (hi - lo) * _scrambled_halton(degree // 2, 12, degree)
+    starts = math.pi / 2 * _scrambled_halton(degree // 2, 12, degree)
     compared = 0
     for x0 in starts:
         f0 = objective(x0)
@@ -406,8 +415,7 @@ def test_kept_starts_reach_the_full_search(monkeypatch, degree, half, starts, se
     monkeypatch.setattr(zetafree.optimizer, "MAX_ITER", max_iter)
     kept = optimize(degree, half, starts=starts, seed=seed)
     full = _full_search(monkeypatch, degree, half, starts=starts, seed=seed)
-    lo, hi = math.log(ROOT_BOX[0]), math.log(ROOT_BOX[1])
-    points = (lo + (hi - lo) * _scrambled_halton(degree // 2, starts, seed)).tolist()
+    points = (math.pi / 2 * _scrambled_halton(degree // 2, starts, seed)).tolist()
     assert len(kept.trace) < len(full.trace) == sum(_objective(x, half) < _PENALTY for x in points)
     for res in (kept, full):
         assert any(note.endswith(" cap") for note in res.notes) == (max_iter == 3)
@@ -416,8 +424,7 @@ def test_kept_starts_reach_the_full_search(monkeypatch, degree, half, starts, se
 
 
 def test_kept_starts_have_no_better_start_within_the_critical_distance():
-    lo, hi = math.log(ROOT_BOX[0]), math.log(ROOT_BOX[1])
-    points = (lo + (hi - lo) * _scrambled_halton(2, 64, 0)).tolist()
+    points = (math.pi / 2 * _scrambled_halton(2, 64, 0)).tolist()
     scores = [_objective(x, True) for x in points]
     r = _critical_distance(2, 64)
     kept = _kept_starts(points, scores, r)
@@ -457,11 +464,61 @@ def test_many_starts_build_no_square_array():
     assert 0 < len(res.trace) < 20_000
 
 
-def test_notes_count_the_roots_at_the_search_wall():
-    assert optimize(5, True, starts=64, seed=0).notes == ()
+def test_notes_count_the_constant_factors():
+    d5 = optimize(5, True, starts=64, seed=0)
+    assert d5.notes == ()
     res = optimize(7, True, starts=128, seed=0)
-    assert res.notes == ("1 of 3 roots at the search wall 6.0",)
-    assert max(res.best_form.roots) == pytest.approx(2 * ROOT_BOX[1], rel=1e-9)
+    assert res.notes == ("1 of 3 factors are constant (phi = 0)",)
+    assert res.best_form.degree == 5
+    assert res.M == pytest.approx(d5.M, rel=1e-12, abs=0.0)
+
+
+def test_best_M_does_not_fall_with_the_degree():
+    # the degree-(d - 2) family is the face phi_i = 0 of the degree-d box
+    for seed in (0, 1):
+        results = {d: optimize(d, d % 2 == 1, starts=8, seed=seed) for d in range(2, 14)}
+        for d in range(4, 14):
+            assert results[d].M >= results[d - 2].M * (1 - 1e-12), (seed, d)
+        for res in results.values():
+            assert not any(note.endswith(" cap") for note in res.notes)
+
+
+def test_a_constant_factor_is_a_strict_kkt_point():
+    # raising the angle of the d = 7 winner's constant factor lowers M at a slope of about -3.37e-3
+    res = optimize(7, True, starts=128, seed=0)
+    angles = _angles_of(res.best_form.roots).tolist()
+    at_zero, raised = (-_objective(angles + [phi], True) for phi in (0.0, 1e-4))
+    assert at_zero == pytest.approx(res.M, rel=1e-14, abs=0.0)
+    assert (raised - at_zero) / 1e-4 == pytest.approx(-3.37e-3, rel=0.01)
+
+
+@settings(deadline=None)
+@given(st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=8), st.booleans())
+def test_objective_clips_each_angle_to_the_box(x, half):
+    clipped = [min(max(v, 0.0), math.pi / 2) for v in x]
+    assert _objective(x, half) == _objective(clipped, half)
+
+
+@pytest.mark.parametrize("degree", [5.0, 5.5, True, "5", None])
+def test_degree_must_be_an_integer(monkeypatch, degree):
+    def drawn(*args):
+        raise AssertionError("a start point was drawn")
+
+    monkeypatch.setattr(zetafree.optimizer, "_scrambled_halton", drawn)
+    message = f"degree must be an integer in 2..{MAX_DEGREE}, got {degree!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        optimize(degree, True, starts=8)
+
+
+@pytest.mark.parametrize("tol", [True, "1e-3", None, 1j])
+def test_tol_must_be_a_real_number(monkeypatch, tol):
+    def drawn(*args):
+        raise AssertionError("a start point was drawn")
+
+    monkeypatch.setattr(zetafree.optimizer, "_scrambled_halton", drawn)
+    message = f"tol must be finite and > 0, got {tol!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        optimize(3, True, starts=8, tol=tol)
 
 
 @pytest.mark.parametrize("starts", [0, -1, 2.5, 3.0, True, "8"])
@@ -478,8 +535,7 @@ def test_starts_must_be_a_positive_integer(monkeypatch, starts):
 @pytest.mark.parametrize("nth", [1, 2])
 def test_a_start_that_raises_reaches_the_caller(monkeypatch, nth):
     # the nth kept start, in search order, raises; the searches before it finish
-    lo, hi = math.log(ROOT_BOX[0]), math.log(ROOT_BOX[1])
-    points = (lo + (hi - lo) * _scrambled_halton(2, 64, 0)).tolist()
+    points = (math.pi / 2 * _scrambled_halton(2, 64, 0)).tolist()
     scores = [_objective(x, True) for x in points]
     kept = _kept_starts(points, scores, _critical_distance(2, 64))
     assert len(kept) >= nth

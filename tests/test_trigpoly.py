@@ -218,6 +218,22 @@ def test_expand_product_coefficients_nonnegative(scale, half, roots):
     assert all(b >= 0.0 for b in expand_product(form).coeffs)
 
 
+@given(
+    st.floats(1e-3, 1e3),
+    st.booleans(),
+    st.lists(st.floats(1e-3, 10.0), min_size=0, max_size=16),
+)
+def test_expand_product_equals_a_direct_root_loop(scale, half, roots):
+    # the product multiplied out root by root as (a + c)^2 = a^2 + 2a*c + c^2
+    form = ProductForm(scale, half, tuple(roots[: 16 - half]))
+    pc = [scale, scale] if half else [scale]
+    for a in form.roots:
+        pc = [0.0, 0.0] + pc + [0.0, 0.0]
+        pc = [a * a * pc[k + 2] + 2.0 * a * pc[k + 1] + pc[k] for k in range(len(pc) - 2)]
+    b = power_to_cosine(pc)
+    assert expand_product(form).coeffs == (b + (0.0,) if len(b) < 2 else b)
+
+
 # ---------------------------------------------------------------------------
 # verify_nonneg against the grid + 60-digit golden-section search it replaced
 # ---------------------------------------------------------------------------

@@ -861,6 +861,7 @@ def _dominated_poly(draw):
 @example(CosinePolynomial((3.0, 4.0, 1.0)), 1.3, 0.0, 3 * 10**6)
 @example(D9, 1.25, 49.9, _TWO_BLOCKS_N)
 @example(CosinePolynomial((1.0, 0.0)), 2.0, 14.13, 10**6)
+@example(CosinePolynomial((3.0, 4.0, 1.0)), 3.0, 0.0, 2_410_829)
 def test_dirichlet_route_matches_per_j_cosines(p, x, y, N):
     report = applied_trig_sum(p, x, y, tol=1e-15, max_n=N)
     N = _cut(_trig_shifts(p.coeffs, x, y), 1e-15, N, p.coeffs)[0]  # below the cap where tol is met sooner
@@ -936,6 +937,7 @@ def _applied_trig_two_cosines(p, x, y, N):
        st.one_of(st.just(0.0), st.floats(0.0, 50.0)), st.integers(2, 3 * 10**6))
 @example(D5, 1.3, 0.0, _TWO_BLOCKS_N)
 @example(D9, 1.25, 49.9, _TWO_BLOCKS_N)
+@example(CosinePolynomial((3.0, 4.0, 1.0)), 3.0, 0.0, 2_410_829)
 def test_both_routes_are_bit_identical_to_two_cosines_per_point(p, x, y, N):
     report = applied_trig_sum(p, x, y, tol=1e-15, max_n=N)
     assert (report.lhs, report.rhs) == _applied_trig_two_cosines(p, x, y, N)
