@@ -80,7 +80,7 @@ def _split_B(B: float) -> Tuple[float, int]:
 
 def compute_C(p: CosinePolynomial, B: float) -> float:
     """Optimal constant in the eta asymptotic, for growth constant B."""
-    if B <= 0:
+    if not 0 < B < math.inf:
         raise ValueError("B must be positive")
     _, s_tail, s_all = _scaled_sums(p.coeffs)
     m, k = _split_B(B)
@@ -88,17 +88,17 @@ def compute_C(p: CosinePolynomial, B: float) -> float:
 
 
 def eta_of(t: float, C: float) -> float:
-    if t <= math.e:
+    if not math.e < t < math.inf:
         raise DomainError("t must exceed e so that log log t is positive")
-    if C <= 0:
+    if not 0 < C < math.inf:
         raise ValueError("C must be positive")
     return C * (math.log(math.log(t)) / math.log(t)) ** (2.0 / 3.0)
 
 
 def lambda_of(t: float, B: float, M: float) -> float:
-    if t <= math.e:
+    if not math.e < t < math.inf:
         raise DomainError("t must exceed e so that log log t is positive")
-    if B <= 0 or M <= 0:
+    if not (0 < B < math.inf and 0 < M < math.inf):
         raise ValueError("B and M must be positive")
     m, k = _split_B(B)
     return M / (math.ldexp((m * math.log(t)) ** (2.0 / 3.0), 2 * k)
@@ -115,7 +115,7 @@ def region_table(
     C = compute_C(p, B)
     rows = []
     for t in t_values:
-        if t <= 100:
+        if not 100 < t < math.inf:
             raise DomainError(f"t = {t} must exceed 100")
         eta = eta_of(t, C)
         lam = lambda_of(t, B, M)

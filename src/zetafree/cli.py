@@ -225,12 +225,6 @@ def parse_config(argv: Sequence[str]) -> argparse.Namespace:
     if args.config:
         i = _command_index(argv) + 1
         args = parser.parse_args(argv[:i] + _config_flags(args) + argv[i:])
-    if args.command == "optimize":
-        e = 1 if args.half_angle_factor else 0
-        if (args.degree - e) % 2 != 0:
-            raise UsageError(
-                f"degree {args.degree} conflicts with half-angle-factor={args.half_angle_factor}"
-            )
     return args
 
 

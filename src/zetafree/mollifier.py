@@ -202,6 +202,9 @@ def solve_theta(b0: float, b1: float) -> float:
 
 
 def g_support(theta: float) -> float:
+    """theta*cot(theta); ValueError unless theta is in (0, pi/2), as the float pi/2 is."""
+    if not 0.0 < theta <= 0.5 * math.pi:
+        raise ValueError(f"theta must lie in (0, pi/2), got {theta!r}")
     return theta / np.tan(theta)
 
 
@@ -287,7 +290,8 @@ def W_eval(theta: float, s) -> complex:
 
     As w >= 0, |W(s)| <= W(0) max(1, e^(-Re(s) sup)), W(0) = 2 (1 - theta cot
     theta)^2 / cos^2 theta; the target is max(W_TOL, 2**-46 of that), the
-    exponent capped below overflow.  QuadratureError if the estimate misses it.
+    exponent capped below overflow.  g_support refuses a theta outside
+    (0, pi/2); QuadratureError if the estimate misses the target.
     """
     sup = 2.0 * g_support(theta)
     s = complex(s)
@@ -308,6 +312,7 @@ class MollifierShape:
     lam: float
 
     def __post_init__(self):
+        g_support(self.theta)  # refuses a theta outside (0, pi/2)
         if not (math.isfinite(self.lam) and self.lam > 0):
             raise ValueError(f"lam must be finite and > 0, got {self.lam!r}")
 

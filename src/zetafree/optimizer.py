@@ -261,7 +261,8 @@ def optimize(
     Deterministic for a fixed (degree, half_angle_factor, starts, seed,
     tol); increasing starts only appends to the same start sequence, though
     the critical distance, and so the kept starts, depend on starts.  The
-    trace has one entry per kept start.  The winner's factors at phi = 0
+    trace has one entry per kept start, the best M so far, and from the
+    winning start on the reported M.  The winner's factors at phi = 0
     are dropped and counted in notes, so the reported degree may be lower,
     of the same parity; the others are reported as the roots cot phi.  A
     search that stops at the MAX_ITER or MAX_RESTARTS cap instead of
@@ -305,6 +306,7 @@ def optimize(
     best_form = ProductForm(1.0, half_angle_factor, tuple(roots))
     best = evaluate_candidate(best_form)
     require_nonneg(best.poly)
+    trace = [(idx, best.M if value == -best_value else value) for idx, value in trace]
     notes = []
     if capped:
         notes.append(f"{capped} of {len(trace)} searches stopped at the iteration or restart cap")

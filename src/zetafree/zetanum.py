@@ -168,17 +168,27 @@ def _n_for_tail(sigma: float, tol: float) -> int:
     return hi
 
 
-def _check_args(name: str, re: float, floor: float, tol: float,
-                max_n: int = DEFAULT_MAX_N) -> None:
-    """The zeta-side argument checks: DomainError if the real part re, called
-    name, is below floor; ValueError unless tol is finite > 0 and max_n >= 1."""
-    if re < floor:
+def _check_args(names: Tuple[str, ...], z: complex, floor: float, tol: float,
+                max_n: int = DEFAULT_MAX_N, eta=None, eta_max=math.inf) -> complex:
+    """z as a complex, once Re z (called names[0]) is finite and >= floor and
+    Im z (names[1], if named) is finite, else DomainError; ValueError unless
+    tol is finite > 0, max_n a whole number >= 1 and eta, if given, in (0, eta_max)."""
+    z = complex(z)
+    if z.real < floor:
         window = "convergence" if floor == SERIES_RE_MIN else "desk-scale"
-        raise DomainError(f"{name} = {re} below the {window} window {floor}")
+        raise DomainError(f"{names[0]} = {z.real} below the {window} window {floor}")
+    for name, part in zip(names, (z.real, z.imag)):
+        if not math.isfinite(part):
+            raise DomainError(f"{name} = {part} is not finite")
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and > 0, got {tol!r}")
     if not max_n >= 1:
         raise ValueError(f"max_n must be >= 1, got {max_n!r}")
+    if isinstance(max_n, bool) or max_n % 1 != 0:  # inf % 1 is nan
+        raise ValueError(f"max_n must be a whole number, got {max_n!r}")
+    if eta is not None and not 0.0 < eta < eta_max:
+        raise ValueError(f"eta must lie in (0, {eta_max:g}), got {eta!r}")
+    return z
 
 
 @dataclass(frozen=True)
@@ -280,19 +290,18 @@ class _Cut:
 def _cut(s, tol: float, max_n: int, b=(1.0,), eta: float = 0.0) -> Tuple[int, complex, float]:
     """(N, main term, bound) of _Cut(s, b, eta) at its N for tol, capped at max_n."""
     cut = _Cut(s, b, eta)
-    N = min(cut.need(tol), max_n)
+    N = min(cut.need(tol), int(max_n))
     return (N, *cut.at(N))
 
 
 def neg_zeta_logderiv(s: complex, tol: float, max_n: int = DEFAULT_MAX_N) -> SeriesValue:
     """-zeta'/zeta(s) as a truncated Lambda series plus its main term, within tol."""
-    s = complex(s)
-    _check_args("Re(s)", s.real, SERIES_RE_MIN, tol, max_n)
+    s = _check_args(("Re(s)", "Im(s)"), s, SERIES_RE_MIN, tol, max_n)
     cut = _Cut([s])
     N = cut.need(tol)
     if N > max_n:
         needs = f"N = {N}" if N <= 10**30 else "N above 10**30"
-        raise CapacityError(f"tol {tol:.3g} at Re(s) = {s.real} needs {needs}, above the cap {max_n}")
+        raise CapacityError(f"tol {tol:.3g} at Re(s) = {s.real} needs {needs}, above the cap {int(max_n)}")
     main, bound = cut.at(N)
     return SeriesValue(value=_lambda_sum(s, N) + main, tail_bound=bound, N=N)
 
@@ -423,19 +432,10 @@ def _k_sum(z: complex, eta: float, tol: float, max_n: int) -> Tuple[float, float
     return float(np.sum(terms)) + main.real, bound, N
 
 
-def _lemma_z(z: complex, eta: float, tol: float, max_n: int = DEFAULT_MAX_N) -> complex:
-    """z as a complex, after the telescoping identity's argument checks."""
-    z = complex(z)
-    _check_args("Re(z)", z.real, DESK_RE_MIN, tol, max_n)
-    if eta <= 0:
-        raise ValueError("eta must be positive")
-    return z
-
-
 def lemma_lhs(z: complex, eta: float, tol: float, max_n: int = DEFAULT_MAX_N) -> Tuple[float, float]:
     """Sum side of the telescoping identity; returns (value, error_bound)."""
-    value, bound, _ = _k_sum(_lemma_z(z, eta, tol, max_n), eta, tol, max_n)
-    return value, bound
+    z = _check_args(("Re(z)", "Im(z)"), z, DESK_RE_MIN, tol, max_n, eta)
+    return _k_sum(z, eta, tol, max_n)[:2]
 
 
 def lemma_rhs(z: complex, eta: float, tol: float) -> Tuple[float, float]:
@@ -453,7 +453,7 @@ def lemma_rhs(z: complex, eta: float, tol: float) -> Tuple[float, float]:
     if the target eta*tol is at or below 2**-52 times the integral's
     bound 2*log zeta(Re z + eta), which floats cannot resolve.
     """
-    z = _lemma_z(z, eta, tol)
+    z = _check_args(("Re(z)", "Im(z)"), z, DESK_RE_MIN, tol, eta=eta)
     sigma_line = z.real + eta
     sup_log = math.log(zeta_em(complex(sigma_line)).real)
     # |val| <= sup_log * int cosh^-2 = 2*sup_log, so this bounds val / (4*eta)
@@ -479,7 +479,7 @@ def lemma_check(
     z: complex, eta: float, tol: float = 1e-6, max_n: int = DEFAULT_MAX_N
 ) -> VerificationReport:
     """Two-sided check of the telescoping identity."""
-    z = _lemma_z(z, eta, tol, max_n)
+    z = _check_args(("Re(z)", "Im(z)"), z, DESK_RE_MIN, tol, max_n, eta)
     lhs, lerr, N = _k_sum(z, eta, tol, max_n)
     rhs, rerr = lemma_rhs(z, eta, tol)
     diff = abs(lhs - rhs)
@@ -491,7 +491,7 @@ def lemma_check(
         rhs_error_bound=rerr,
         passed=diff <= tol + lerr + rerr,
         kind="equality",
-        params={"z": [z.real, z.imag], "eta": eta, "tol": tol, "max_n": max_n, "N": N},
+        params={"z": [z.real, z.imag], "eta": eta, "tol": tol, "max_n": int(max_n), "N": N},
     )
 
 
@@ -509,9 +509,7 @@ def midpoint_bound_check(
     conservative margin, with both error bounds subtracted, is reported
     separately.
     """
-    _check_args("sigma", sigma, DESK_RE_MIN, tol, max_n)
-    if not (0.0 < eta < 1.0):
-        raise ValueError("eta must lie in (0, 1)")
+    _check_args(("sigma",), sigma, DESK_RE_MIN, tol, max_n, eta, 1.0)
     lhs, lerr, N = _k_sum(complex(sigma), eta, tol, max_n)
     rhs_val = math.log(zeta_em(complex(sigma + eta)).real) / (2.0 * eta)
     rerr = abs(rhs_val) * 1e-12
@@ -539,8 +537,8 @@ def midpoint_bound_check(
 # Dual-route cosine-weighted sum
 # ---------------------------------------------------------------------------
 
-# applied_trig_sum evaluates p at this many points per eval_poly call, which
-# bounds the size of eval_poly's temporaries
+# applied_trig_sum runs both routes over blocks of this many points, which
+# bounds the size of each block's temporaries, _eval_cos's among them
 _EVAL_BLOCK = 1 << 16
 
 
@@ -567,7 +565,7 @@ def applied_trig_sum(
     dips raises NonnegativityError (require_nonneg, one certificate per
     object).
     """
-    _check_args("x", x, DESK_RE_MIN, tol, max_n)
+    _check_args(("x", "y"), complex(x, y), DESK_RE_MIN, tol, max_n)
     require_nonneg(p)
     b = p.coeffs
     N, main, bound = _cut([complex(x, j * y) for j in range(len(b))], tol, max_n, b)

@@ -187,3 +187,28 @@ def test_positive_constants():
     for p in (CLASSICAL, D4, D5):
         assert compute_M(p) > 0
         assert compute_C(p, 4.45) > 0
+
+
+# each call with a nan or infinite argument, and the exception it raises
+_NOT_FINITE = {
+    "compute_C(B=nan)": (lambda: compute_C(D5, math.nan), ValueError),
+    "compute_C(B=inf)": (lambda: compute_C(D5, math.inf), ValueError),
+    "region_table(B=nan)": (lambda: region_table(D5, B=math.nan), ValueError),
+    "region_table(t=nan)": (lambda: region_table(D5, t_values=[math.nan]), DomainError),
+    "region_table(t=inf)": (lambda: region_table(D5, t_values=[math.inf]), DomainError),
+    "eta_of(t=nan)": (lambda: eta_of(math.nan, 1.0), DomainError),
+    "eta_of(t=inf)": (lambda: eta_of(math.inf, 1.0), DomainError),
+    "eta_of(C=nan)": (lambda: eta_of(1e12, math.nan), ValueError),
+    "eta_of(C=inf)": (lambda: eta_of(1e12, math.inf), ValueError),
+    "lambda_of(t=nan)": (lambda: lambda_of(math.nan, 4.45, 0.05), DomainError),
+    "lambda_of(t=inf)": (lambda: lambda_of(math.inf, 4.45, 0.05), DomainError),
+    "lambda_of(B=nan)": (lambda: lambda_of(1e12, math.nan, 0.05), ValueError),
+    "lambda_of(M=inf)": (lambda: lambda_of(1e12, 4.45, math.inf), ValueError),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_NOT_FINITE))
+def test_nan_and_the_infinities_are_refused(name):
+    call, error = _NOT_FINITE[name]
+    with pytest.raises(error):
+        call()

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import time
 
 import mpmath as mp
@@ -457,3 +458,18 @@ def test_lambda_must_be_finite_and_positive(lam):
         MollifierShape.from_coeffs(3.0, 4.0, lam=lam)
     with pytest.raises(ValueError, match="lam"):
         MollifierShape(theta=0.9, lam=lam)
+
+
+@pytest.mark.parametrize("theta", (0.0, -0.5, 2.0, math.pi, float("nan"), float("inf")))
+def test_theta_must_lie_in_the_open_quarter_turn(theta):
+    message = re.escape(f"theta must lie in (0, pi/2), got {theta!r}")
+    with pytest.raises(ValueError, match=message):
+        MollifierShape(theta=theta, lam=1.0)
+    with pytest.raises(ValueError, match=message):
+        W_eval(theta, 1.0)
+
+
+def test_the_float_quarter_turn_is_a_valid_theta():
+    # math.pi / 2 rounds below pi/2, so its support theta*cot(theta) is positive
+    shape = MollifierShape(theta=math.pi / 2, lam=1.0)
+    assert 0.0 < shape.w_support < 1e-15

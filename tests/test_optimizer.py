@@ -255,6 +255,13 @@ def test_trace_nondecreasing(d5_small):
     assert all(a <= b + 1e-15 for a, b in zip(ms, ms[1:]))
 
 
+@pytest.mark.parametrize("degree", [3, 4, 5, 7])
+def test_trace_ends_at_the_reported_M(degree):
+    # the search's value of the winner is replaced by evaluate_candidate's
+    res = optimize(degree, degree % 2 == 1, starts=64, seed=0)
+    assert res.trace[-1][1] == res.M
+
+
 def test_local_flat_top(d5_small):
     base = d5_small.M
     roots = np.array(d5_small.best_form.roots)
@@ -484,12 +491,16 @@ def test_best_M_does_not_fall_with_the_degree():
 
 
 def test_a_constant_factor_is_a_strict_kkt_point():
-    # raising the angle of the d = 7 winner's constant factor lowers M at a slope of about -3.37e-3
-    res = optimize(7, True, starts=128, seed=0)
-    angles = _angles_of(res.best_form.roots).tolist()
-    at_zero, raised = (-_objective(angles + [phi], True) for phi in (0.0, 1e-4))
-    assert at_zero == pytest.approx(res.M, rel=1e-14, abs=0.0)
-    assert (raised - at_zero) / 1e-4 == pytest.approx(-3.37e-3, rel=0.01)
+    # raising the angle of the winner's constant factor from 0 to 1e-4 lowers M,
+    # at a slope of about -3.37e-3 at d = 7 and -2.05e-4 at d = 6
+    for degree, half, slope in ((7, True, -3.37e-3), (6, False, -2.05e-4)):
+        res = optimize(degree, half, starts=128, seed=0)
+        assert res.best_form.degree == degree - 2
+        angles = _angles_of(res.best_form.roots).tolist()
+        at_zero, raised = (-_objective(angles + [phi], half) for phi in (0.0, 1e-4))
+        assert at_zero == pytest.approx(res.M, rel=1e-14, abs=0.0)
+        assert raised < at_zero
+        assert (raised - at_zero) / 1e-4 == pytest.approx(slope, rel=0.01)
 
 
 @settings(deadline=None)

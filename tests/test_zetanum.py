@@ -215,8 +215,9 @@ def test_tail_bound_is_genuine():
 def test_capacity_error_names_the_n_the_tolerance_needs():
     N = _Cut([2.0]).need(1e-9)
     assert _Cut([2.0]).at(N)[1] <= 1e-9 < _Cut([2.0]).at(N - 1)[1]
-    with pytest.raises(CapacityError, match=f"needs N = {N}, above the cap 100000"):
-        neg_zeta_logderiv(2.0, 1e-9, max_n=10**5)
+    for max_n in (10**5, 1e5):  # a whole float cap reads as the integer
+        with pytest.raises(CapacityError, match=f"needs N = {N}, above the cap 100000$"):
+            neg_zeta_logderiv(2.0, 1e-9, max_n=max_n)
     # here the explicit bound's floor is above tol and the absolute bound
     # needs N of about 10**49, above 10**30, so the message does not spell it out
     assert _Cut([1.2]).F > 1e-9
@@ -1093,6 +1094,15 @@ _CALLS_BELOW_WINDOW = {
                              "sigma = 1.2 below the desk-scale window 1.25"),
     "applied_trig_sum": (lambda: applied_trig_sum(CosinePolynomial((3.0, 4.0, 1.0)), 1.2, 1.0),
                          "x = 1.2 below the desk-scale window 1.25"),
+    "neg_zeta_logderiv at -inf": (lambda: neg_zeta_logderiv(complex(-math.inf, 1.0), 1e-3),
+                                  "Re(s) = -inf below the convergence window 1.1"),
+    "lemma_check at -inf": (lambda: lemma_check(complex(-math.inf, 1.0), 0.25, tol=1e-3),
+                            "Re(z) = -inf below the desk-scale window 1.25"),
+    "midpoint_bound_check at -inf": (lambda: midpoint_bound_check(-math.inf, 0.25, tol=1e-3),
+                                     "sigma = -inf below the desk-scale window 1.25"),
+    "applied_trig_sum at -inf": (lambda: applied_trig_sum(CosinePolynomial((3.0, 4.0, 1.0)),
+                                                          -math.inf, 1.0),
+                                 "x = -inf below the desk-scale window 1.25"),
 }
 
 
@@ -1126,6 +1136,71 @@ _CALLS_WITH_MAX_N = {
 def test_max_n_must_be_at_least_one(name, max_n):
     with pytest.raises(ValueError, match=f"max_n must be >= 1, got {max_n!r}"):
         _CALLS_WITH_MAX_N[name](max_n)
+
+
+@pytest.fixture
+def no_sums(monkeypatch):
+    """Every sieve, series cut and zeta evaluation of zetanum raises."""
+    for name in ("_CACHE", "_Cut", "zeta_em", "strip_gauss"):
+        monkeypatch.setattr(zetanum, name, None)
+
+
+@pytest.mark.parametrize("max_n", [2.5, True, float("inf")])
+@pytest.mark.parametrize("name", sorted(_CALLS_WITH_MAX_N))
+def test_max_n_must_be_a_whole_number(no_sums, name, max_n):
+    with pytest.raises(ValueError, match=f"max_n must be a whole number, got {max_n!r}"):
+        _CALLS_WITH_MAX_N[name](max_n)
+
+
+# three calls whose cut the cap max_n = 10**5 binds
+_CALLS_AT_A_BINDING_CAP = {
+    "applied_trig_sum": lambda max_n: applied_trig_sum(CosinePolynomial((3.0, 4.0, 1.0)), 1.3,
+                                                       14.13, tol=1e-9, max_n=max_n),
+    "midpoint_bound_check": lambda max_n: midpoint_bound_check(1.3, 0.05, tol=1e-9, max_n=max_n),
+    "lemma_check": lambda max_n: lemma_check(1.3 + 1j, 0.05, tol=1e-9, max_n=max_n),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CALLS_AT_A_BINDING_CAP))
+def test_a_whole_float_cap_gives_the_integer_caps_report(name):
+    as_float, as_int = (_CALLS_AT_A_BINDING_CAP[name](max_n) for max_n in (1e5, 100_000))
+    assert as_int.params["N"] == 100_000
+    assert repr(as_float) == repr(as_int)
+
+
+# each routine on a point z, with the names of Re z and Im z in its messages
+_CALLS_WITH_A_POINT = {
+    "neg_zeta_logderiv": (("Re(s)", "Im(s)"), lambda z: neg_zeta_logderiv(z, 1e-3)),
+    "lemma_lhs": (("Re(z)", "Im(z)"), lambda z: lemma_lhs(z, 0.25, 1e-3)),
+    "lemma_rhs": (("Re(z)", "Im(z)"), lambda z: lemma_rhs(z, 0.25, 1e-3)),
+    "lemma_check": (("Re(z)", "Im(z)"), lambda z: lemma_check(z, 0.25, tol=1e-3)),
+    "midpoint_bound_check": (("sigma",), lambda z: midpoint_bound_check(z.real, 0.25, tol=1e-3)),
+    "applied_trig_sum": (("x", "y"), lambda z: applied_trig_sum(
+        CosinePolynomial((3.0, 4.0, 1.0)), z.real, z.imag, tol=1e-3)),
+}
+
+
+@pytest.mark.parametrize("name, part, value", [
+    (name, part, value) for name, (names, _) in sorted(_CALLS_WITH_A_POINT.items())
+    for part, value in [(0, math.nan), (0, math.inf), (1, math.nan), (1, math.inf), (1, -math.inf)]
+    if part < len(names)])
+def test_a_part_that_is_not_finite_is_a_domain_error(no_sums, name, part, value):
+    names, call = _CALLS_WITH_A_POINT[name]
+    z = complex(value, 1.0) if part == 0 else complex(2.0, value)
+    with pytest.raises(DomainError) as excinfo:
+        call(z)
+    assert str(excinfo.value) == f"{names[part]} = {value} is not finite"
+
+
+# eta lies in (0, inf) for the telescoping lemma and in (0, 1) for the midpoint bound
+@pytest.mark.parametrize("name, eta", [
+    *((name, eta) for name in sorted(_CALLS_WITH_ETA) for eta in (0.0, -0.25, math.nan, math.inf)),
+    ("midpoint_bound_check", 1.0), ("midpoint_bound_check", 1.5)])
+def test_eta_outside_its_range_is_refused(no_sums, name, eta):
+    top = 1 if name == "midpoint_bound_check" else math.inf
+    with pytest.raises(ValueError) as excinfo:
+        _CALLS_WITH_ETA[name](eta)
+    assert str(excinfo.value) == f"eta must lie in (0, {top}), got {eta!r}"
 
 
 def test_the_zero_polynomial_sums_to_zero_with_no_error():
