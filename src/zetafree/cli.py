@@ -269,7 +269,7 @@ def _run_optimize(args: argparse.Namespace):
     res = optimize(degree=args.degree, half_angle_factor=args.half_angle_factor,
                    starts=args.starts, seed=args.seed, tol=args.tol)
     if args.format == "csv":
-        return _rows_to_csv(("iteration", "M"), res.trace), 0
+        return _rows_to_csv(("start", "M"), res.trace), 0
     if args.format == "text":
         return (f"M = {res.M:.6g}\nroots = {list(res.best_form.roots)}\n"
                 f"theta = {res.theta:.6g}\n"), 0

@@ -10,12 +10,13 @@ contraction 0.5, shrink 0.5) then runs over the angles only from the starts
 that multi-level single linkage keeps (Rinnooy Kan and Timmer, "Stochastic
 global optimization methods, Part II: Multi level methods", Math.
 Programming 39, 1987): those with no better-scoring start within the
-critical distance.  Each kept search is restarted from its own result with
-a fresh initial simplex while that strictly lowers the value (Kelley, SIAM
-J. Optim. 10, 1999), at most MAX_RESTARTS times, each run for at most
-MAX_ITER iterations.  Each point is scored from b0, b1 and the coefficient
-sums, read off the power-basis product without the full cosine expansion;
-a point scores a penalty exactly where solve_theta refuses its b0 and b1.
+critical distance.  Each kept start gets one run of at most MAX_ITER
+iterations, from an initial simplex that moves one angle at a time by
+_STEP = 0.1 rad toward the box centre pi/4, so its edges have the same
+length at every start, phi = 0 included.  Each point is scored from b0, b1
+and the coefficient sums, read off the power-basis product without the full
+cosine expansion; a point scores a penalty exactly where solve_theta
+refuses its b0 and b1.
 The kept searches run inline, in start order; only the winner is expanded,
 by evaluate_candidate, for the reported polynomial, theta and M.  Both
 algorithms are written here, the Halton points in numpy and the simplex on
@@ -52,12 +53,10 @@ _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
 
 # Nelder-Mead reflection, expansion, contraction and shrink coefficients
 _RHO, _CHI, _PSI, _SIGMA = 1.0, 2.0, 0.5, 0.5
-# initial simplex: each coordinate in turn scaled by 1.05, or set to 0.00025 if 0
-_NONZERO_STEP, _ZERO_STEP = 0.05, 0.00025
+# initial simplex: each angle in turn moved this far toward the box centre pi/4
+_STEP = 0.1
 # sigma of the critical distance: a larger sigma keeps fewer starts
 _MLSL_SIGMA = 4.0
-# restarts of one kept search, each with its own MAX_ITER: at d = 11 one search takes 8,467 in all
-MAX_RESTARTS = 50
 
 
 @dataclass(frozen=True)
@@ -148,18 +147,20 @@ def _nelder_mead(f, x0: List[float], f0: float, xatol: float) -> Tuple[List[floa
     coordinate and every value within _FATOL of the best value, or after
     MAX_ITER iterations.  The vertices are lists of floats: on a few
     vertices numpy's per-call overhead costs more than the arithmetic.
-    Every step keeps the order of operations of scipy's array
-    implementation (the centroid is summed from the first vertex on, as
-    numpy's axis-0 reduce does).  scipy orders the simplex with numpy's
-    argsort, whose order of tied values depends on the CPU; this one uses
-    the stable _vertex_order, so the iterates equal scipy's while no
-    values tie, and on ties they are the same on every machine.
+    The initial simplex is x0 and, for each k, x0 with coordinate k moved
+    by _STEP toward pi/4.  From there every step keeps the order of
+    operations of scipy's array implementation (the centroid is summed
+    from the first vertex on, as numpy's axis-0 reduce does).  scipy
+    orders the simplex with numpy's argsort, whose order of tied values
+    depends on the CPU; this one uses the stable _vertex_order, so the
+    iterates equal scipy's while no values tie, and on ties they are the
+    same on every machine.
     """
     n = len(x0)
     sim = [list(x0)]
     for k in range(n):
         y = list(x0)
-        y[k] = (1 + _NONZERO_STEP) * y[k] if y[k] != 0 else _ZERO_STEP
+        y[k] += _STEP if y[k] < 0.25 * math.pi else -_STEP
         sim.append(y)
     fsim = [f0] + [f(v) for v in sim[1:]]
 
@@ -233,22 +234,6 @@ def _kept_starts(points: List[List[float]], scores: List[float], r: float) -> Li
     return sorted(kept)
 
 
-def _search(f, x0: List[float], f0: float, xatol: float) -> Tuple[List[float], float, bool]:
-    """_nelder_mead from x0, restarted from its own result while a restart
-    strictly lowers the value, at most MAX_RESTARTS times.
-
-    The flag is False if the result stopped at MAX_ITER or the restarts ran
-    out while still improving.
-    """
-    x, value, converged = _nelder_mead(f, x0, f0, xatol)
-    for _ in range(MAX_RESTARTS):
-        y, y_value, y_converged = _nelder_mead(f, x, value, xatol)
-        if not y_value < value:
-            return x, value, converged
-        x, value, converged = y, y_value, y_converged
-    return x, value, False
-
-
 def optimize(
     degree: int,
     half_angle_factor: bool,
@@ -265,8 +250,8 @@ def optimize(
     winning start on the reported M.  The winner's factors at phi = 0
     are dropped and counted in notes, so the reported degree may be lower,
     of the same parity; the others are reported as the roots cot phi.  A
-    search that stops at the MAX_ITER or MAX_RESTARTS cap instead of
-    reaching tol still counts, and is counted in notes.
+    search that stops at the MAX_ITER cap instead of reaching tol still
+    counts, and is counted in notes.
     """
     e = 1 if half_angle_factor else 0
     if not (isinstance(degree, numbers.Integral) and not isinstance(degree, bool)
@@ -292,7 +277,7 @@ def optimize(
     trace: List[Tuple[int, float]] = []
     capped = 0
     for idx in _kept_starts(points, scores, _critical_distance(m, starts)):
-        x, value, converged = _search(objective, points[idx], scores[idx], tol)
+        x, value, converged = _nelder_mead(objective, points[idx], scores[idx], tol)
         capped += not converged
         angles = tuple(sorted(_angles(x)))
         if value < best_value or (value == best_value and angles < best_angles):
@@ -309,7 +294,7 @@ def optimize(
     trace = [(idx, best.M if value == -best_value else value) for idx, value in trace]
     notes = []
     if capped:
-        notes.append(f"{capped} of {len(trace)} searches stopped at the iteration or restart cap")
+        notes.append(f"{capped} of {len(trace)} searches stopped at the iteration cap")
     if len(roots) < m:
         notes.append(f"{m - len(roots)} of {m} factors are constant (phi = 0)")
 

@@ -480,8 +480,10 @@ def lemma_check(
 ) -> VerificationReport:
     """Two-sided check of the telescoping identity."""
     z = _check_args(("Re(z)", "Im(z)"), z, DESK_RE_MIN, tol, max_n, eta)
-    lhs, lerr, N = _k_sum(z, eta, tol, max_n)
+    # every refusal before the sieve, the k-sum's own first, as when it ran first
+    _check_k_sum_range(z.real, eta)
     rhs, rerr = lemma_rhs(z, eta, tol)
+    lhs, lerr, N = _k_sum(z, eta, tol, max_n)
     diff = abs(lhs - rhs)
     return VerificationReport(
         lhs=lhs,

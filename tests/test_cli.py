@@ -707,6 +707,9 @@ def test_supported_format_is_emitted(command, fmt, capsys):
         assert json.loads(out)["config"]["format"] == "json"
     elif fmt == "csv":
         assert "," in out.splitlines()[0] and not out.startswith("{")
+        if command == "optimize":
+            # each row is a searched start's Halton index and the best M so far
+            assert out.splitlines()[0] == "start,M"
     else:
         assert " = " in out.splitlines()[0]
 

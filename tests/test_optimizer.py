@@ -18,15 +18,15 @@ from zetafree.asymptotics import compute_M
 from zetafree.errors import RatioOutOfRangeError
 from zetafree.optimizer import (
     _PENALTY,
+    _STEP,
     MAX_ITER,
-    MAX_RESTARTS,
     CandidateEval,
     _critical_distance,
     _kept_starts,
     _nelder_mead,
     _objective,
     _scrambled_halton,
-    _search,
+    _vertex_order,
     evaluate_candidate,
     optimize,
 )
@@ -283,8 +283,13 @@ def _scipy_halton(dim, n, seed):
 
 
 def _scipy_nelder_mead(f, x0, f0, xatol):
+    # _nelder_mead's initial simplex: one coordinate at a time moved by _STEP toward pi/4
+    simplex = np.array([x0] * (len(x0) + 1), dtype=float)
+    for k, v in enumerate(x0):
+        simplex[k + 1, k] += _STEP if v < 0.25 * math.pi else -_STEP
     res = minimize(f, x0, method="Nelder-Mead",
-                   options={"xatol": xatol, "fatol": 1e-15, "maxiter": MAX_ITER})
+                   options={"xatol": xatol, "fatol": 1e-15, "maxiter": MAX_ITER,
+                            "initial_simplex": simplex})
     return res.x, res.fun, res.status == 0
 
 
@@ -300,22 +305,35 @@ def test_halton_has_no_base_beyond_the_degree_cap():
 
 
 @pytest.mark.parametrize("degree", range(3, 8))
-def test_nelder_mead_equals_scipy(degree):
+def test_nelder_mead_equals_scipy(monkeypatch, degree):
+    # scipy orders the simplex with numpy's default argsort; once that order
+    # and _vertex_order's differ after a tie, the iterates part, so such a run
+    # is compared by its value only
+    disagreements = []
+
+    def recording_order(fsim):
+        order = _vertex_order(fsim)
+        disagreements.append(order != np.argsort(fsim).tolist())
+        return order
+
+    monkeypatch.setattr(zetafree.optimizer, "_vertex_order", recording_order)
     half = degree % 2 == 1
     objective = partial(_objective, half=half)
     starts = math.pi / 2 * _scrambled_halton(degree // 2, 12, degree)
-    compared = 0
+    exact = 0
     for x0 in starts:
         f0 = objective(x0)
         if f0 >= 1e9:
             continue
+        disagreements.clear()
         x, value, converged = _nelder_mead(objective, x0, f0, 1e-10)
         ref_x, ref_value, ref_converged = _scipy_nelder_mead(objective, x0, f0, 1e-10)
-        assert np.array_equal(x, ref_x)
         assert value == ref_value
-        assert converged == ref_converged
-        compared += 1
-    assert compared >= 6
+        if not any(disagreements):
+            assert np.array_equal(x, ref_x)
+            assert converged == ref_converged
+            exact += 1
+    assert exact >= 6
 
 
 def _plateau(x):
@@ -380,27 +398,12 @@ def test_notes_count_starts_at_iteration_cap(monkeypatch):
     monkeypatch.setattr(zetafree.optimizer, "MAX_ITER", 3)
     res = optimize(4, False, starts=8, seed=0)
     assert len(res.notes) == 1
-    match = re.fullmatch(r"(\d+) of (\d+) searches stopped at the iteration or restart cap",
-                         res.notes[0])
+    match = re.fullmatch(r"(\d+) of (\d+) searches stopped at the iteration cap", res.notes[0])
     assert match and int(match.group(1)) == int(match.group(2)) == len(res.trace) > 0
 
 
-def test_search_stops_at_the_restart_cap(monkeypatch):
-    # a search that lowers its value on every restart stops at MAX_RESTARTS
-    runs = []
-
-    def always_lower(f, x0, f0, xatol):
-        runs.append(f0)
-        return list(x0), f0 - 1.0, True
-
-    monkeypatch.setattr(zetafree.optimizer, "_nelder_mead", always_lower)
-    x, value, converged = _search(None, [0.5], 0.0, 1e-10)
-    assert (x, value, converged) == ([0.5], -(MAX_RESTARTS + 1.0), False)
-    assert len(runs) == MAX_RESTARTS + 1
-
-
 # ---------------------------------------------------------------------------
-# the kept starts, their restarts, and no process pool
+# the kept starts and no process pool
 # ---------------------------------------------------------------------------
 
 def _full_search(monkeypatch, *args, **kwargs):
@@ -453,11 +456,18 @@ def test_critical_distance_is_zero_at_one_start():
     assert _critical_distance(2, 64) > _critical_distance(2, 128) > 0
 
 
-def test_degree_9_reaches_the_lowest_full_search_optimum():
-    # 0.0542828021 is the lowest M over seeds 0-11 of a search from every start without restarts
+def test_degree_9_reaches_the_degree_5_optimum():
+    # 0.0551270809 is the d = 5 optimum, which is also the best product at d = 9
     first, second = (optimize(9, True, starts=64, seed=seed).M for seed in (0, 1))
-    assert min(first, second) >= 0.0542828021
+    assert min(first, second) >= 0.0551270808
     assert first == pytest.approx(second, rel=1e-9, abs=0.0)
+
+
+def test_degree_32_seed_3_reaches_the_degree_4_optimum():
+    # 0.0550773827 is the d = 4 optimum, which is also the best product at d = 32
+    res = optimize(32, False, starts=8, seed=3)
+    assert res.M >= 0.0550773826
+    assert not any(note.endswith(" cap") for note in res.notes)
 
 
 def test_many_starts_build_no_square_array():

@@ -1056,6 +1056,17 @@ def test_eta_tol_below_the_rounding_of_the_integral_is_refused_at_once(eta, tol)
     assert time.perf_counter() - start < 1.0
 
 
+@pytest.mark.parametrize("z, eta, tol", [(1.5, 1e-200, 1e-3), (1.5 + 20000j, 0.1, 1e-6)])
+def test_lemma_check_refuses_the_integral_side_before_it_sieves(monkeypatch, z, eta, tol):
+    # eta*tol within rounding, and |Im(z)| above zeta_em's window: lemma_rhs
+    # refuses both, and at max_n = 10**8 a k-sum run first would sieve 10**8
+    cache = _PrimePowerCache()
+    monkeypatch.setattr(zetanum, "_CACHE", cache)
+    with pytest.raises(DomainError):
+        lemma_check(z, eta, tol=tol, max_n=10**8)
+    assert cache.limit == 0
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.floats(-323.0, -280.0), _SIGMA, _T, st.integers(1, 10**4))
 def test_k_sum_is_finite_or_refused(log10_eta, sigma, t, max_n):
