@@ -4,8 +4,8 @@ Subcommands: optimize, eval-poly, verify-lemma, verify-trig, region,
 mollifier-table.  An optional flat JSON config file supplies defaults:
 its values are parsed as flags placed before the explicit ones, so they
 get the same checks and explicit flags win.  Every float value must be
-finite: the library checks --tol and --lam, the parser all the others,
-and --max-n must also be a whole number.
+finite: the library checks --tol and --lam, the parser all the others.
+The library also refuses a --max-n that is not a whole number >= 1.
 
 Each runner takes the parsed Namespace and returns its output, a result
 dict or the finished CSV or text, with its exit code; `run` alone writes
@@ -136,14 +136,6 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _whole_number(text: str) -> float:
-    """--max-n: a finite float with no fractional part, such as 1e7."""
-    value = _finite_float(text)
-    if not value.is_integer():
-        raise argparse.ArgumentTypeError(f"not a whole number: {text!r}")
-    return value
-
-
 def _number_list(flag: str, text: str) -> List[float]:
     """The comma-separated finite floats of a list flag; an empty entry is an error."""
     try:
@@ -186,14 +178,14 @@ def build_parser() -> _Parser:
     p.add_argument("--t", type=_finite_float, default=0.0)
     p.add_argument("--eta", type=_finite_float, required=True)
     p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--max-n", type=_whole_number, default=DEFAULT_MAX_N)
+    p.add_argument("--max-n", type=_finite_float, default=DEFAULT_MAX_N)
 
     p = command("verify-trig", ("json",))
     p.add_argument("--coeffs", required=True)
     p.add_argument("--x", type=_finite_float, required=True)
     p.add_argument("--y", type=_finite_float, required=True)
     p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--max-n", type=_whole_number, default=DEFAULT_MAX_N)
+    p.add_argument("--max-n", type=_finite_float, default=DEFAULT_MAX_N)
 
     p = command("region", ("json", "csv"))
     p.add_argument("--coeffs", required=True)
@@ -289,14 +281,12 @@ def _run_eval_poly(args: argparse.Namespace):
 
 
 def _run_verify_lemma(args: argparse.Namespace):
-    report = lemma_check(complex(args.sigma, args.t), args.eta, tol=args.tol,
-                         max_n=int(args.max_n))
+    report = lemma_check(complex(args.sigma, args.t), args.eta, tol=args.tol, max_n=args.max_n)
     return report.to_json(), 0 if report.passed else 2
 
 
 def _run_verify_trig(args: argparse.Namespace):
-    report = applied_trig_sum(_poly(args), args.x, args.y, tol=args.tol,
-                              max_n=int(args.max_n))
+    report = applied_trig_sum(_poly(args), args.x, args.y, tol=args.tol, max_n=args.max_n)
     return report.to_json(), 0 if report.passed else 2
 
 

@@ -2,25 +2,24 @@
 
 Each squared factor is (cos phi + sin phi * cos t)^2, a = cot phi, with phi
 clipped to [0, pi/2]: phi = 0 is the constant factor 1, so the lower
-degrees are a face of the box [0, pi/2]^m.  The starts are the points of a
-scrambled Halton sequence (Owen, "A randomized Halton algorithm in R",
-arXiv:1706.02808) in the box.  Every start is scored once.  Nelder-Mead
-(Nelder and Mead, Comput. J. 7, 1965; reflection 1, expansion 2,
-contraction 0.5, shrink 0.5) then runs over the angles only from the starts
-that multi-level single linkage keeps (Rinnooy Kan and Timmer, "Stochastic
-global optimization methods, Part II: Multi level methods", Math.
-Programming 39, 1987): those with no better-scoring start within the
-critical distance.  Each kept start gets one run of at most MAX_ITER
-iterations, from an initial simplex that moves one angle at a time by
-_STEP = 0.1 rad toward the box centre pi/4, so its edges have the same
-length at every start, phi = 0 included.  Each point is scored from b0, b1
-and the coefficient sums, read off the power-basis product without the full
-cosine expansion; a point scores a penalty exactly where solve_theta
-refuses its b0 and b1.
+degrees are a face of the box [0, pi/2]^m.  The starts are drawn uniformly
+from the box by numpy's default_rng(seed).  Every start is scored once.
+Nelder-Mead (Nelder and Mead, Comput. J. 7, 1965; reflection 1, expansion
+2, contraction 0.5, shrink 0.5) then runs over the angles only from the
+starts that multi-level single linkage keeps (Rinnooy Kan and Timmer,
+"Stochastic global optimization methods, Part II: Multi level methods",
+Math. Programming 39, 1987): those with no better-scoring start within the
+critical distance, which that paper derives for uniform starts.  Each kept
+start gets one run of at most MAX_ITER iterations, from an initial simplex
+that moves one angle at a time by _STEP = 0.1 rad toward the box centre
+pi/4, so its edges have the same length at every start, phi = 0 included.
+Each point is scored from b0, b1 and the coefficient sums, read off the
+power-basis product without the full cosine expansion; a point scores a
+penalty exactly where solve_theta refuses its b0 and b1.
 The kept searches run inline, in start order; only the winner is expanded,
-by evaluate_candidate, for the reported polynomial, theta and M.  Both
-algorithms are written here, the Halton points in numpy and the simplex on
-lists of floats, and the tests check them against reference implementations.
+by evaluate_candidate, for the reported polynomial, theta and M.  The
+simplex is written here on lists of floats, and the tests check it against
+scipy's.
 """
 
 import math
@@ -48,8 +47,6 @@ from .trigpoly import (
 MAX_ITER = 4000
 _PENALTY = 1e9
 _FATOL = 1e-15
-# the Halton bases: one per squared factor, at most MAX_DEGREE // 2 = 16
-_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
 
 # Nelder-Mead reflection, expansion, contraction and shrink coefficients
 _RHO, _CHI, _PSI, _SIGMA = 1.0, 2.0, 0.5, 0.5
@@ -111,27 +108,14 @@ def _objective(x: Sequence[float], half: bool) -> float:
     return -M_from_sums(b0, s_tail, s_all, theta)
 
 
-def _scrambled_halton(dim: int, n: int, seed: int) -> np.ndarray:
-    """The first n points of the dim-dimensional scrambled Halton sequence.
+def _starts(m: int, starts: int, seed: int) -> List[List[float]]:
+    """The first `starts` points drawn uniformly from the box [0, pi/2]^m.
 
-    Coordinate k is the radical inverse of the point index in the k-th
-    prime base, with digit j replaced by perm_j[digit]: one random
-    permutation of the digits per place j with base**-(j+1) above 2**-54,
-    drawn base by base from default_rng(seed).
+    default_rng fills the array row by row, so more starts only append to
+    the same sequence.
     """
-    rng = np.random.default_rng(seed)
-    points = np.zeros((n, dim))
-    for k in range(dim):
-        base = _PRIMES[k]  # an IndexError above dim 16, not a column of zeros
-        perms = np.repeat(np.arange(base)[None], math.ceil(54 / math.log2(base)) - 1, axis=0)
-        quotient = np.arange(n)
-        b2r = 1.0 / base
-        for perm in perms:
-            rng.shuffle(perm)
-            quotient, digit = np.divmod(quotient, base)
-            points[:, k] += perm[digit] * b2r
-            b2r /= base
-    return points
+    draws = np.random.default_rng(seed).random((starts, m))
+    return [[0.5 * math.pi * v for v in row] for row in draws.tolist()]
 
 
 def _vertex_order(fsim: List[float]) -> List[int]:
@@ -244,7 +228,8 @@ def optimize(
     """Maximize M over product forms of at most the given degree.
 
     Deterministic for a fixed (degree, half_angle_factor, starts, seed,
-    tol); increasing starts only appends to the same start sequence, though
+    tol): the starts are uniform draws from default_rng(seed) in the angle
+    box, and increasing starts only appends to the same sequence, though
     the critical distance, and so the kept starts, depend on starts.  The
     trace has one entry per kept start, the best M so far, and from the
     winning start on the reported M.  The winner's factors at phi = 0
@@ -268,7 +253,7 @@ def optimize(
     if not (isinstance(tol, numbers.Real) and not isinstance(tol, bool) and 0 < tol < math.inf):
         raise ValueError(f"tol must be finite and > 0, got {tol!r}")
 
-    points = [[0.5 * math.pi * v for v in u] for u in _scrambled_halton(m, starts, seed).tolist()]
+    points = _starts(m, starts, seed)
     objective = partial(_objective, half=half_angle_factor)
     scores = [objective(x) for x in points]
 

@@ -48,7 +48,8 @@ def strip_gauss(f, a, b, strip, M, tol):
         h = 0.5 * (b - a) / panels
         rho = strip / h + math.hypot(strip / h, 1.0)
         scale = 0.5 * (b - a) * (64.0 / 15.0) * M / (rho * rho - 1.0)
-        n = max(1, 1 + math.ceil(math.log(scale / tol) / (2.0 * math.log(rho))))
+        ratio = scale / tol  # 0 where M is far below tol, and then one node meets tol
+        n = max(1, 1 + math.ceil(math.log(ratio) / (2.0 * math.log(rho)))) if ratio else 1
         n += scale * rho ** (2.0 - 2.0 * n) > tol  # one more if the logarithm rounded low
         rules.append((panels * n, panels, n, h, scale * rho ** (2.0 - 2.0 * n)))
     _, panels, n, h, bound = min(rules)

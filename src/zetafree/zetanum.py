@@ -145,7 +145,11 @@ def tail_bound(N: int, sigma: float) -> float:
         scale = N ** -d
     except OverflowError:  # an int N beyond the float range, as _n_for_tail may try
         scale = math.exp(-d * log_n)
-    return scale * min(log_n / d + 1.0 / d**2, PSI_RATIO * sigma / d)
+    try:
+        inv_d2 = 1.0 / d**2
+    except OverflowError:  # d above about 1.3e154, where 1/d**2 is subnormal or 0
+        inv_d2 = (1.0 / d) ** 2
+    return scale * min(log_n / d + inv_d2, PSI_RATIO * sigma / d)
 
 
 def _n_for_tail(sigma: float, tol: float) -> int:
@@ -351,10 +355,13 @@ def zeta_em(s):
         terms[n >= N[blk, None]] = 0.0
         head[blk] = terms.sum(axis=1)
     Nf = N.astype(float)
-    # s(s+1)...(s+2j-2) for j = 1.._EM_ORDER
-    rising = np.cumprod(s[:, None] + np.arange(2 * _EM_ORDER - 1), axis=1)[:, ::2]
+    lead = np.exp(-s * np.log(Nf))
+    # s(s+1)...(s+2j-2) for j = 1.._EM_ORDER, at s = 0 where N^-s is 0: from
+    # Re(s) near 3e11 on it would overflow, and 0 * inf is nan
+    rising = np.cumprod(np.where(lead, s, 0j)[:, None] + np.arange(2 * _EM_ORDER - 1),
+                        axis=1)[:, ::2]
     corr = (rising * (_EM_COEF * Nf[:, None] ** _EM_EXP)).sum(axis=1)
-    total = head + np.exp(-s * np.log(Nf)) * (0.5 + Nf / (s - 1.0) + corr)
+    total = head + lead * (0.5 + Nf / (s - 1.0) + corr)
     return complex(total[0]) if arr.ndim == 0 else total.reshape(arr.shape)
 
 
@@ -451,7 +458,8 @@ def lemma_rhs(z: complex, eta: float, tol: float) -> Tuple[float, float]:
     aside).  Raises DomainError if eta is so small that the bound
     log zeta(Re z + eta) / (2*eta) on the value leaves the float range, or
     if the target eta*tol is at or below 2**-52 times the integral's
-    bound 2*log zeta(Re z + eta), which floats cannot resolve.
+    bound 2*log zeta(Re z + eta), which floats cannot resolve, or if the
+    line's ordinates Im z + 2*eta*u/pi, |u| <= U, leave zeta_em's window.
     """
     z = _check_args(("Re(z)", "Im(z)"), z, DESK_RE_MIN, tol, eta=eta)
     sigma_line = z.real + eta
@@ -466,6 +474,9 @@ def lemma_rhs(z: complex, eta: float, tol: float) -> Tuple[float, float]:
     # truncation: sup_log * 4*exp(-2U) / (4*eta) <= tol/2
     U = 0.5 * math.log(max(2.0 * sup_log / (eta * tol), 10.0))
     trunc = sup_log * 4.0 * math.exp(-2.0 * U) / (4.0 * eta)
+    # zeta_em's refusal, whether or not the rule has a node near u = +-U
+    if not abs(z.imag) + 2.0 * eta * U / math.pi <= _EM_IM_MAX:
+        raise DomainError(f"|Im(s)| above the desk-scale window {_EM_IM_MAX}")
     M = math.log1p(1.0 / (sigma_line - eta * 2.0 * _STRIP / math.pi - 1.0)) / math.cos(_STRIP) ** 2
 
     def integrand(u):

@@ -260,12 +260,9 @@ def test_nonfinite_float_flag_exits_one(capsys, argv):
     ["verify-trig", "--coeffs", "3,4,1", "--x", "1.5", "--y", "2", "--tol", "1e-3"],
 ], ids=lambda a: a[0])
 def test_max_n_below_one_exits_one(capsys, argv, max_n):
-    # the parser refuses a fractional value, the library one below 1
+    # the library checks max_n >= 1 before it checks for a whole number
     assert main([*argv, f"--max-n={max_n}"]) == 1
-    captured = capsys.readouterr()
-    message = ("error: argument --max-n: not a whole number: '0.5'" if max_n == "0.5"
-               else "error: max_n must be >= 1, got")
-    assert captured.out == "" and message in captured.err
+    assert capsys.readouterr() == ("", f"error: max_n must be >= 1, got {float(max_n)!r}\n")
 
 
 @pytest.mark.parametrize("max_n", ["999.9", "1.9"])
@@ -274,13 +271,31 @@ def test_max_n_below_one_exits_one(capsys, argv, max_n):
     ["verify-trig", "--coeffs", "3,4,1", "--x", "1.5", "--y", "2", "--tol", "1e-3"],
 ], ids=lambda a: a[0])
 def test_fractional_max_n_exits_one(tmp_path, capsys, argv, max_n):
-    message = f"error: argument --max-n: not a whole number: {max_n!r}\n"
+    message = f"error: max_n must be a whole number, got {max_n}\n"
     assert main([*argv, "--max-n", max_n]) == 1
     assert capsys.readouterr() == ("", message)
     # a config file's value gets the same check
     path = _write_config(tmp_path, {"max-n": float(max_n)})
     assert main(["--config", path, *argv]) == 1
     assert capsys.readouterr() == ("", message)
+
+
+@pytest.mark.parametrize("argv, code", [
+    # zeta is 1 to float precision, so both sides are 0 and agree
+    (["verify-trig", "--coeffs", "3,4,1", "--x", "1e300", "--y", "1", "--max-n", "1e3"], 0),
+    (["verify-lemma", "--sigma", "1e300", "--eta", "0.5", "--tol", "1e-3", "--max-n", "1e3"], 0),
+    # the integral side's line runs far above zeta_em's |Im| window
+    (["verify-lemma", "--sigma", "1.5", "--eta", "1e300", "--tol", "1e-3", "--max-n", "1e3"], 1),
+], ids=lambda a: " ".join(a) if isinstance(a, list) else None)
+def test_huge_arguments_pass_or_are_refused_in_one_line(capsys, argv, code):
+    # a RuntimeWarning is an error here, so none is raised on the way
+    assert main(argv) == code
+    out, err = capsys.readouterr()
+    if code == 0:
+        result = json.loads(out)["result"]
+        assert (result["lhs"], result["rhs"], result["pass"], err) == (0.0, 0.0, True, "")
+    else:
+        assert (out, err) == ("", "error: |Im(s)| above the desk-scale window 10000.0\n")
 
 
 _MALFORMED_LISTS = [
@@ -708,7 +723,7 @@ def test_supported_format_is_emitted(command, fmt, capsys):
     elif fmt == "csv":
         assert "," in out.splitlines()[0] and not out.startswith("{")
         if command == "optimize":
-            # each row is a searched start's Halton index and the best M so far
+            # each row is a searched start's index and the best M so far
             assert out.splitlines()[0] == "start,M"
     else:
         assert " = " in out.splitlines()[0]

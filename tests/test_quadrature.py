@@ -152,3 +152,11 @@ def test_strip_gauss_raises_past_its_node_cap(monkeypatch):
     monkeypatch.setattr(quadrature, "STRIP_NODES", 4)
     with pytest.raises(QuadratureError, match=r"tol 1e-12 needs \d+ > 4 nodes per panel"):
         quadrature.strip_gauss(np.cos, 0.0, 1.0, 1.0, math.cosh(1.0), 1e-12)
+
+
+@pytest.mark.parametrize("M", [0.0, 1e-320])
+def test_strip_gauss_takes_one_node_where_the_bound_is_far_below_tol(M):
+    # M / tol underflows to 0, where the logarithm sizing the rule is undefined;
+    # the one-node rule is 2 * cos(0)
+    value, bound = quadrature.strip_gauss(np.cos, -1.0, 1.0, 1.0, M, 1e3)
+    assert value == 2.0 and 0.0 <= bound <= 10.0 * M

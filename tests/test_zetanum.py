@@ -362,6 +362,23 @@ def test_zeta_em_array_window_errors():
         zeta_em(np.array([2.0, 1.5 - 2e4j]))
 
 
+@pytest.mark.parametrize("s", [3e11, 1e300 + 1j, np.array([2.5e11, 1e300, 1e300 - 1e4j])])
+def test_zeta_em_is_one_where_n_to_the_minus_s_is_zero(s):
+    # the rising factorial s(s+1)... overflows from Re(s) near 3e11; no nan
+    # and, since a RuntimeWarning is an error here, no overflow on the way
+    assert np.all(zeta_em(s) == 1.0)
+
+
+def test_tail_bound_at_huge_sigma():
+    # sigma - 1 above about 1.3e154 squares beyond the float range
+    for sigma in (1.4e154, 1e300, 1.7e308):
+        d = sigma - 1.0
+        assert tail_bound(1, sigma) == (1.0 / d) ** 2 and tail_bound(2, sigma) == 0.0
+    d = 1.3e154
+    assert tail_bound(1, d + 1.0) == 1.0 / d**2 > 0.0
+    assert neg_zeta_logderiv(1e300, 1e-3) == zetanum.SeriesValue(value=0j, tail_bound=0.0, N=1)
+
+
 # (Re s, Im s) in the window of the mpmath test: Re s in (1, 4], |Im s| <= 1e3
 _EM_LOW = st.tuples(st.floats(1.0, 4.0, exclude_min=True), st.floats(-5.0, 5.0))
 _EM_HIGH = st.tuples(st.floats(1.0, 4.0, exclude_min=True), st.floats(-1e3, 1e3))
